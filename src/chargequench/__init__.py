@@ -70,11 +70,9 @@ from .saddle import (
     solve_saddle_symmetric_single,
 )
 from .states import (
-    DispersionModel,
     OccupationFunction,
     Pairing,
     QuenchState,
-    TIGHT_BINDING,
     get_state,
     occupation_dimer,
     occupation_neel,

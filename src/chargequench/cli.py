@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -44,7 +43,7 @@ from .probability import (
     sample_many,
 )
 from .quadrature import QuadratureConfig
-from .saddle import feasibility, solve_saddle_symmetric_single
+from .saddle import feasibility, solve_saddle_squeezed, solve_saddle_symmetric_single
 from .states import Pairing, get_state
 
 EXIT_OK = 0
@@ -70,17 +69,11 @@ class JobSpec:
     seed: int | None = None
     out_dir: str = "."
     fmt: str = "both"
-    workers: int = 1
-
-    def to_dict(self):
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def from_dict(d):
-        return JobSpec(**d)
 
     def config_hash(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True)
+        """Hash of the inputs that change the result: not where or how it is written."""
+        inputs = {"subcommand": self.subcommand, "params": self.params, "rtol": self.rtol, "seed": self.seed}
+        canon = json.dumps(inputs, sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
     def quad(self) -> QuadratureConfig:
@@ -100,14 +93,6 @@ def parse_grid(text: str):
             return [float(v) for v in range(start, stop + 1)]
         raise ValueError(f"bad grid {text!r}")
     return [float(v) for v in text.split(",")]
-
-
-def parse_charges(text: str, center: float, tau: float, ell: float, seed_default=0):
-    """Charges: an integer, a comma list, or `sample:N:seed`."""
-    if text.startswith("sample:"):
-        _, n, seed = text.split(":")
-        return ("sample", int(n), int(seed))
-    return ("explicit", [float(v) for v in text.split(",")], None)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +160,13 @@ def _entropy_report(state, t, tau, ell, q_seq, config):
     raise RegimeError("squeezed protocols support at most two measurements")
 
 
+def _report_columns(report):
+    """(baseline, quantum, classical or NaN, total, classical tag)."""
+    tag, classical = report.classical_correction
+    quantum = sum(v for _, v in report.quantum_corrections)
+    return (report.baseline, quantum, classical if classical is not None else math.nan, report.total, tag)
+
+
 def _cmd_curve(job: JobSpec):
     p = job.params
     state = get_state(p["state"], job.quad())
@@ -183,23 +175,8 @@ def _cmd_curve(job: JobSpec):
     t_grid = parse_grid(p["t_grid"]) if "t_grid" in p else [p["t"]]
     config = job.quad()
 
-    def one(t):
-        report = _entropy_report(state, t, tau, ell, q_seq, config)
-        quantum = sum(v for _, v in report.quantum_corrections)
-        tag, classical = report.classical_correction
-        return (
-            t,
-            tau,
-            *q_seq,
-            report.baseline,
-            quantum,
-            classical if classical is not None else math.nan,
-            report.total,
-            tag,
-        )
-
-    with ThreadPoolExecutor(max_workers=job.workers) as pool:
-        rows = list(pool.map(one, t_grid))
+    rows = [(t, tau, *q_seq, *_report_columns(_entropy_report(state, t, tau, ell, q_seq, config)))
+            for t in t_grid]
     header = ["t", "tau"] + [f"q{i + 1}" for i in range(len(q_seq))] + [
         "baseline", "quantum", "classical", "total", "flags",
     ]
@@ -213,18 +190,8 @@ def _cmd_sweep(job: JobSpec):
     t_grid = parse_grid(p["t_grid"]) if "t_grid" in p else [p["t"]]
     q_grid = parse_grid(str(p["q_grid"]))
     config = job.quad()
-    jobs = [(ti, qi) for ti in t_grid for qi in q_grid]
-
-    def one(args):
-        t, q = args
-        report = _entropy_report(state, t, tau, ell, [q], config)
-        quantum = sum(v for _, v in report.quantum_corrections)
-        tag, classical = report.classical_correction
-        return (t, tau, q, report.baseline, quantum,
-                classical if classical is not None else math.nan, report.total, tag)
-
-    with ThreadPoolExecutor(max_workers=job.workers) as pool:
-        rows = list(pool.map(one, jobs))
+    rows = [(t, tau, q, *_report_columns(_entropy_report(state, t, tau, ell, [q], config)))
+            for t in t_grid for q in q_grid]
     header = ["t", "tau", "q", "baseline", "quantum", "classical", "total", "flags"]
     return _write_artifact(job, "sweep", header, rows, {"state": p["state"]})
 
@@ -235,14 +202,16 @@ def _cmd_saddle(job: JobSpec):
     ell, tau = p["ell"], p["tau"]
     dq_grid = parse_grid(str(p["dq"]))
     config = job.quad()
+    occ = state.occupation
     rows = []
     for dq in dq_grid:
-        feasible = feasibility([dq], tau, state.occupation.pairing, config=config)[0]
-        if feasible:
-            exact = solve_saddle_symmetric_single(dq, tau, ell, state.occupation, config=config)
-            lin = solve_saddle_symmetric_single(
-                dq, tau, ell, state.occupation, mode="linearized", config=config
-            )
+        if occ.pairing is Pairing.SQUEEZED_PAIR:
+            # dq from the mean charge; the saddle is linear, exact = linearized
+            sol = solve_saddle_squeezed((ell * occ.mean_density + dq,), tau, ell, occ, config=config)
+            rows.append((dq, sol.lambdas[0], sol.lambdas[0], 1, sol.regime))
+        elif feasibility([dq], tau, occ.pairing, config=config)[0]:
+            exact = solve_saddle_symmetric_single(dq, tau, ell, occ, config=config)
+            lin = solve_saddle_symmetric_single(dq, tau, ell, occ, mode="linearized", config=config)
             rows.append((dq, exact.lambdas[0], lin.lambdas[0], 1, exact.regime))
         else:
             rows.append((dq, math.nan, math.nan, 0, "infeasible"))
@@ -321,7 +290,8 @@ def _cmd_fcs(job: JobSpec):
     p = job.params
     state = get_state(p["state"], job.quad())
     ell, tau = p["ell"], p["tau"]
-    betas = parse_grid(str(p.get("beta_grid", f"{-math.pi:.6f}:{math.pi:.6f}:41")))
+    # default: 41 points strictly inside the principal window [-pi, pi]
+    betas = parse_grid(str(p.get("beta_grid", "-3.14:3.14:41")))
     config = job.quad()
     rows = []
     for beta in betas:
@@ -417,7 +387,6 @@ def _build_parser():
         sp.add_argument("--out", default=os.environ.get("CHARGEQUENCH_OUTDIR", "."))
         sp.add_argument("--format", choices=("csv", "json", "both"), default="both")
         sp.add_argument("--config")
-        sp.add_argument("--workers", type=int, default=1)
 
     for name in _COMMANDS:
         sp = sub.add_parser(name)
@@ -454,7 +423,6 @@ def build_job(argv) -> JobSpec:
     seed = args.pop("seed")
     out_dir = args.pop("out")
     fmt = args.pop("format")
-    workers = args.pop("workers")
     config_path = args.pop("config")
     params = {k: v for k, v in args.items() if v is not None and v is not False}
     if config_path:
@@ -467,7 +435,7 @@ def build_job(argv) -> JobSpec:
                     params[key] = value
     return JobSpec(
         subcommand=subcommand, params=params, rtol=rtol, seed=seed,
-        out_dir=out_dir, fmt=fmt, workers=workers,
+        out_dir=out_dir, fmt=fmt,
     )
 
 

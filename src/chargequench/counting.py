@@ -1,12 +1,30 @@
 """Quasiparticle counting functions for measured quenches.
 
 A quench emits at every point x0 one entangled pair per momentum k whose
-members travel ballistically with velocities ``+-|v_k|``.  The weight of a
-"configuration class" (how many members sat inside the measured region at
-each measurement time, and where the pair ends up at the final time) is the
-Lebesgue measure of birth positions x0 realising it.  This module computes
-those measures exactly by interval algebra for arbitrary schedules, plus the
-closed forms that exist in limiting regimes.
+members travel ballistically with velocities ``+-v``, ``v = |sin k|``.  The
+weight of a "configuration class" (how many members sat inside the measured
+region at each measurement time, and where the pair ends up at the final
+time) is the Lebesgue measure of birth positions x0 realising it.  This
+module computes those measures exactly by interval algebra for arbitrary
+schedules (`counting_measure`), plus the closed forms that exist in limiting
+regimes.
+
+Counting engine.  Integrands need chi(k) at thousands of momenta, so
+`counting_function` evaluates the scalar classifier only at a handful of
+velocities and interpolates.  For a fixed class every interval endpoint the
+classifier produces has the form ``e - s v T``: e an endpoint of A = [0, ell]
+or of the measured region, T a measurement time or the final time, s = +-1.
+The measure is a sum of differences of such endpoints, and which endpoint is
+active can only change where two of them meet,
+
+    v* = (e1 - e2) / (s1 T1 - s2 T2).
+
+Between consecutive breakpoints v* in (0, 1) the measure is therefore affine
+in v, so linear interpolation in v = |sin k| through its values at 0, 1 and
+every v* is exact, and the momenta where |sin k| = v* are the only kinks.
+The classifier's window edges lie more than ``v t + 1`` beyond every region,
+so they meet none of these endpoints; a class whose set reaches them has
+infinite measure, and `counting_function` refuses it.
 
 Conventions.  The geometric classifier (`counting_measure`) returns raw
 x0-measures; classes involving "exactly one member inside" pin which member
@@ -19,6 +37,7 @@ full-pair classes, so that each physical pair is weighted once under
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -27,7 +46,7 @@ import numpy as np
 
 from .errors import RegimeError
 from .intervals import IntervalSet, window_hull
-from .states import TIGHT_BINDING
+from .quadrature import velocity_kinks
 
 RIGHT_MOVER = "right"
 LEFT_MOVER = "left"
@@ -97,13 +116,14 @@ class ConfigurationClass:
         return f"chi[{''.join(map(str, self.counts))}]_{self.final}{pin}"
 
 
-def pair_positions(x0, k, t, dispersion=TIGHT_BINDING):
+def pair_positions(x0, k, t):
     """Positions at time t of the pair born at x0: ``(x0 + v_k t, x0 - v_k t)``.
 
-    The partner moves with ``-v_k`` for both pairing classes (the cosine band
-    has ``v_{k-pi} = -v_k``; the squeezed partner ``-k`` has ``-v_k``).
+    ``v_k = sin k``; the partner moves with ``-v_k`` for both pairing classes
+    (the cosine band has ``v_{k-pi} = -v_k``; the squeezed partner ``-k`` has
+    ``-v_k``).
     """
-    v = float(dispersion.velocity(np.asarray(k, dtype=float)))
+    v = math.sin(float(k))
     return (x0 + v * t, x0 - v * t)
 
 
@@ -140,7 +160,6 @@ def counting_measure(
     k: float,
     protocol: MeasurementProtocol,
     measured_region=None,
-    dispersion=TIGHT_BINDING,
 ) -> float:
     """Exact x0-measure of a configuration class at momentum k.
 
@@ -151,7 +170,7 @@ def counting_measure(
     """
     if len(cls.counts) != protocol.m:
         raise ValueError("class occupancy length must match the measurement count")
-    v = abs(float(dispersion.velocity(np.asarray(k, dtype=float))))
+    v = abs(math.sin(float(k)))
     a_region = IntervalSet.from_pairs([(0.0, protocol.ell)])
     if measured_region is None:
         regions = [a_region] * protocol.m
@@ -218,6 +237,58 @@ def enumerate_classes(m: int):
 
 
 # ---------------------------------------------------------------------------
+# Counting engine
+# ---------------------------------------------------------------------------
+
+
+def velocity_breakpoints(protocol: MeasurementProtocol, measured_region=None) -> np.ndarray:
+    """0, 1 and every v* in (0, 1) where two classifier endpoints meet (sorted)."""
+    ends = {0.0, float(protocol.ell)}
+    if measured_region is not None:
+        pairs = measured_region.intervals if isinstance(measured_region, IntervalSet) else measured_region
+        ends.update(float(e) for pair in pairs for e in pair)
+    slopes = {s * time for time in (*protocol.times, protocol.t) for s in (1.0, -1.0)}
+    found = {0.0, 1.0}
+    for (e1, c1), (e2, c2) in itertools.combinations(itertools.product(ends, slopes), 2):
+        if c1 != c2 and 0.0 < (v := (e1 - e2) / (c1 - c2)) < 1.0:
+            found.add(v)
+    return np.array(sorted(found))
+
+
+@dataclass(frozen=True)
+class CountingFunction:
+    """Vectorised chi(k): linear interpolation in ``|sin k|`` between the
+    exact values ``values`` at the breakpoints ``v``."""
+
+    v: np.ndarray
+    values: np.ndarray
+
+    def __call__(self, k):
+        return np.interp(np.abs(np.sin(k)), self.v, self.values)
+
+    @property
+    def kinks(self) -> list[float]:
+        return velocity_kinks(self.v[1:-1])
+
+
+def counting_function(classes, protocol: MeasurementProtocol, measured_region=None,
+                      weight: float = 1.0) -> CountingFunction:
+    """``weight * sum_cls counting_measure(cls, k, protocol, measured_region)``
+    as a `CountingFunction`: one classifier call per class and breakpoint.
+
+    Raises ValueError if a class has infinite measure at some velocity.
+    """
+    v = velocity_breakpoints(protocol, measured_region)
+    values = np.array([
+        weight * sum(counting_measure(cls, math.asin(x), protocol, measured_region) for cls in classes)
+        for x in v
+    ])
+    if not np.all(np.isfinite(values)):
+        raise ValueError("counting function of a class with infinite measure")
+    return CountingFunction(v, values)
+
+
+# ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
 
@@ -252,24 +323,30 @@ def single_measurement_chis(v: float, tau: float, t: float, ell: float) -> dict:
     }
 
 
-def chi_shared_suffix(l: int, k, protocol: MeasurementProtocol, dispersion=TIGHT_BINDING):
-    """Counting function of pairs first shared at measurement l, alive at t.
+def shared_suffix_classes(l: int, m: int) -> list[ConfigurationClass]:
+    """Classes of the pairs first shared at measurement l, alive at t.
 
     These weight the outcome-dependent entropy corrections: the pair was not
     shared before measurement ``l`` (1-indexed), shared at measurements
     ``l..m`` and still shared at the final time.  Before becoming shared the
-    pair was either fully inside A or fully outside, hence two classifier
-    calls.
+    pair was either fully inside A or fully outside, hence two classes.
     """
-    if not 1 <= l <= protocol.m:
+    if not 1 <= l <= m:
         raise ValueError("measurement index out of range")
-    suffix = (1,) * (protocol.m - l + 1)
-    total = 0.0
-    for prefix_count in (2, 0) if l > 1 else (None,):
-        counts = ((prefix_count,) * (l - 1) if prefix_count is not None else ()) + suffix
-        cls = ConfigurationClass(counts, FINAL_SHARED, RIGHT_MOVER)
-        total += counting_measure(cls, k, protocol, dispersion=dispersion)
-    return total
+    suffix = (1,) * (m - l + 1)
+    prefixes = ((2,) * (l - 1), (0,) * (l - 1)) if l > 1 else ((),)
+    return [ConfigurationClass(prefix + suffix, FINAL_SHARED, RIGHT_MOVER) for prefix in prefixes]
+
+
+def chi_shared_suffix(l: int, k, protocol: MeasurementProtocol) -> float:
+    """Counting function of the `shared_suffix_classes` at momentum k."""
+    return sum(counting_measure(cls, k, protocol) for cls in shared_suffix_classes(l, protocol.m))
+
+
+def shared_suffix_chis(protocol: MeasurementProtocol) -> list[CountingFunction]:
+    """chi^(1,l) for l = 1..m as `CountingFunction`s (see `chi_shared_suffix`)."""
+    return [counting_function(shared_suffix_classes(l, protocol.m), protocol)
+            for l in range(1, protocol.m + 1)]
 
 
 @dataclass(frozen=True)
@@ -296,7 +373,7 @@ class CountingResult:
         return json.dumps(payload, sort_keys=True)
 
 
-def chi_closed_forms(protocol: MeasurementProtocol, k, dispersion=TIGHT_BINDING) -> CountingResult:
+def chi_closed_forms(protocol: MeasurementProtocol, k) -> CountingResult:
     """Closed-form counting functions where they are known.
 
     Single measurement: exact for every (k, tau, t, ell); the ``regime`` tag
@@ -306,7 +383,7 @@ def chi_closed_forms(protocol: MeasurementProtocol, k, dispersion=TIGHT_BINDING)
     closed forms (every chi^(1,l) equals ``2|v_k| tau``); outside it a
     RegimeError points callers at `counting_measure`.
     """
-    v = abs(float(dispersion.velocity(np.asarray(k, dtype=float))))
+    v = abs(math.sin(float(k)))
     tau, t, ell, m = protocol.tau, protocol.t, protocol.ell, protocol.m
     if m == 0:
         return CountingResult(protocol, float(k), {"chi_AAbar": min(2 * v * t, ell)}, _LIGHT_CONE)

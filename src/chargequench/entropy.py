@@ -17,10 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import MeasurementProtocol, chi_shared_suffix, single_measurement_chis
+from .counting import (
+    FINAL_BOTH_OUT,
+    FINAL_SHARED,
+    RIGHT_MOVER,
+    ConfigurationClass,
+    MeasurementProtocol,
+    counting_function,
+    shared_suffix_chis,
+)
 from .errors import RegimeError
 from .fluctuations import drude_weight, variance_symmetric
-from .quadrature import DEFAULT_CONFIG, momentum_integral, velocity_kinks
+from .quadrature import DEFAULT_CONFIG, momentum_integral
 from .saddle import (
     solve_saddle_squeezed,
     solve_saddle_symmetric_multi,
@@ -79,12 +87,13 @@ def unmeasured_entropy(alpha, t, ell, occ: OccupationFunction, config=DEFAULT_CO
     ``(1/2pi) int dk min(2|v_k| t, ell) s_alpha[n(k)]``."""
     if t < 0 or ell <= 0:
         raise ValueError("need t >= 0 and ell > 0")
-    kinks = velocity_kinks([ell / (2 * t)] if t > 0 else [])
+    chi = counting_function([ConfigurationClass((), FINAL_SHARED, RIGHT_MOVER)],
+                            MeasurementProtocol(ell=ell, tau=0.0, m=0, t=t))
 
     def integrand(k):
-        return np.minimum(2 * np.abs(np.sin(k)) * t, ell) * pair_entropy(occ.evaluate(k), alpha)
+        return chi(k) * pair_entropy(occ.evaluate(k), alpha)
 
-    value, _ = momentum_integral(integrand, kinks=kinks, config=config)
+    value, _ = momentum_integral(integrand, kinks=chi.kinks, config=config)
     return value
 
 
@@ -96,15 +105,10 @@ def unmeasured_entropy(alpha, t, ell, occ: OccupationFunction, config=DEFAULT_CO
 def _hessian_general_symmetric(t, tau, ell, occ, config):
     # Diagonal-plus-rank-one Hessian of the multiplier integral, evaluated at
     # zeroth order in the saddle; the alpha-derivative is taken numerically.
-    def chi1_shared(k):
-        v = np.abs(np.sin(k))
-        return np.maximum(0.0, np.minimum(2 * v * tau, ell - v * (t - tau)))
-
-    def chi1_out(k):
-        v = np.abs(np.sin(k))
-        return np.minimum(2 * v * tau, ell) - chi1_shared(k)
-
-    kinks = velocity_kinks([ell / (2 * tau), ell / (t + tau), ell / max(t - tau, 1e-300)])
+    protocol = MeasurementProtocol(ell=ell, tau=tau, m=1, t=t)
+    chi1_shared = counting_function([ConfigurationClass((1,), FINAL_SHARED, RIGHT_MOVER)], protocol)
+    chi1_out = counting_function([ConfigurationClass((1,), FINAL_BOTH_OUT, RIGHT_MOVER)], protocol)
+    kinks = chi1_shared.kinks  # one protocol: both share the breakpoints
 
     def b_of_alpha(alpha):
         def integrand(k):
@@ -134,11 +138,6 @@ def _hessian_general_symmetric(t, tau, ell, occ, config):
         math.log(a1 / (a1 + b1)) + b1 / (a1 + b1) + db / (a1 + b1)
     )
     return value
-
-
-def single_measurement_chis_vec(k, tau, t, ell):
-    v = np.abs(np.sin(k))
-    return np.maximum(0.0, np.minimum(2 * v * tau, ell - v * (t - tau)))
 
 
 def log_n_correction(
@@ -205,8 +204,9 @@ def _log_n_squeezed(t, tau, ell, occ, config):
 # ---------------------------------------------------------------------------
 
 
-def _quantum_integral(chi_fn, lam, weight, occ, kinks, config):
-    """(1/2pi) int dk chi(k) (s[n tilted by weight*lam] - s[n]).
+def _quantum_integral(chi, lam, weight, occ, config):
+    """(1/2pi) int dk chi(k) (s[n tilted by weight*lam] - s[n]), chi a
+    `CountingFunction` whose kinks split the quadrature panels.
 
     The entropy difference is formed without subtracting two O(1)
     entropies: with x = weight*lam and n_x the tilted occupation,
@@ -232,20 +232,13 @@ def _quantum_integral(chi_fn, lam, weight, occ, kinks, config):
             bias = np.where(shift == 0.0, 0.0, shift * (np.log(n) - np.log1p(-n)))
         log_term = np.log1p(n * growth)
         tilt_term = (n + shift) * x
-        chi = chi_fn(k)
+        chi_k = chi(k)
         return (
-            chi * (log_term - tilt_term - bias),
-            chi * (np.abs(log_term) + np.abs(tilt_term) + np.abs(bias)),
+            chi_k * (log_term - tilt_term - bias),
+            chi_k * (np.abs(log_term) + np.abs(tilt_term) + np.abs(bias)),
         )
 
-    return momentum_integral(integrand, kinks=kinks, config=config)
-
-
-def _single_kinks(tau, t, ell):
-    crit = [ell / (2 * tau) if tau > 0 else math.inf, ell / (t + tau) if t + tau > 0 else math.inf]
-    if t > tau:
-        crit += [ell / (t - tau), ell / (2 * t)]
-    return velocity_kinks([c for c in crit if math.isfinite(c)])
+    return momentum_integral(integrand, kinks=chi.kinks, config=config)
 
 
 def entropy_symmetric_single(
@@ -262,11 +255,8 @@ def entropy_symmetric_single(
     sol = solve_saddle_symmetric_single(dq, tau, ell, occ, mode=mode, config=config)
     lam = sol.lambdas[0]
     baseline = unmeasured_entropy(1.0, t, ell, occ, config=config)
-
-    def chi1(k):
-        return single_measurement_chis_vec(k, tau, t, ell)
-
-    quantum, qerr = _quantum_integral(chi1, lam, 1, occ, _single_kinks(tau, t, ell), config)
+    (chi1,) = shared_suffix_chis(MeasurementProtocol(ell=ell, tau=tau, m=1, t=t))
+    quantum, qerr = _quantum_integral(chi1, lam, 1, occ, config)
     classical, tag = log_n_correction(t, tau, ell, occ, m=1, config=config)
     diag = {
         "saddle": json.loads(sol.to_json()),
@@ -294,17 +284,10 @@ def entropy_symmetric_multi(
     suffix = sol.suffix_sums()
     baseline = unmeasured_entropy(1.0, t, ell, occ, config=config)
 
-    light_cone = 2 * t <= ell
     quantum = []
     qerrs = []
-    for l in range(1, m + 1):
-        if light_cone:
-            chi_l = lambda k: 2 * np.abs(np.sin(k)) * tau
-            kinks = velocity_kinks([])
-        else:
-            chi_l = _suffix_chi_vectorised(l, protocol)
-            kinks = _multi_kinks(protocol)
-        value, err = _quantum_integral(chi_l, suffix[l - 1], 1, occ, kinks, config)
+    for l, chi_l in enumerate(shared_suffix_chis(protocol), 1):
+        value, err = _quantum_integral(chi_l, suffix[l - 1], 1, occ, config)
         quantum.append((f"chi[1,{l}]_AAbar", value))
         qerrs.append(err)
     classical, tag = log_n_correction(t, tau, ell, occ, m=m, config=config)
@@ -312,28 +295,8 @@ def entropy_symmetric_multi(
         "saddle": json.loads(sol.to_json()),
         "quantum_quadrature_error": sum(qerrs),
         "logN_regime": tag,
-        "counting": "light-cone" if light_cone else "classifier-extended",
     }
     return EntropyReport.assemble(baseline, quantum, tag, classical, diag)
-
-
-def _suffix_chi_vectorised(l, protocol):
-    def chi(k):
-        flat = np.atleast_1d(np.asarray(k, dtype=float))
-        return np.array([chi_shared_suffix(l, kk, protocol) for kk in flat])
-
-    return chi
-
-
-def _multi_kinks(protocol):
-    times = [0.0] + list(protocol.times) + [protocol.t]
-    crit = set()
-    for t1 in times:
-        for t2 in times:
-            for s in (t1 + t2, abs(t1 - t2)):
-                if s > 0:
-                    crit.add(protocol.ell / s)
-    return velocity_kinks(sorted(crit))
 
 
 def entropy_squeezed_single(
@@ -349,17 +312,11 @@ def entropy_squeezed_single(
     sol = solve_saddle_squeezed((q,), tau, ell, occ, config=config)
     lam = sol.lambdas[0]
     baseline = unmeasured_entropy(1.0, t, ell, occ, config=config)
-    kinks = _single_kinks(tau, t, ell)
-
-    def chi1(k):
-        return single_measurement_chis_vec(k, tau, t, ell)
-
-    def chi2(k):
-        v = np.abs(np.sin(k))
-        return np.maximum(0.0, np.minimum(v * (t - tau), ell - v * (t + tau)))
-
-    q1, e1 = _quantum_integral(chi1, lam, 1, occ, kinks, config)
-    q2, e2 = _quantum_integral(chi2, lam, 2, occ, kinks, config)
+    protocol = MeasurementProtocol(ell=ell, tau=tau, m=1, t=t)
+    (chi1,) = shared_suffix_chis(protocol)
+    chi2 = counting_function([ConfigurationClass((2,), FINAL_SHARED, RIGHT_MOVER)], protocol)
+    q1, e1 = _quantum_integral(chi1, lam, 1, occ, config)
+    q2, e2 = _quantum_integral(chi2, lam, 2, occ, config)
     classical, tag = log_n_correction(t, tau, ell, occ, config=config)
     diag = {
         "saddle": json.loads(sol.to_json()),
@@ -379,13 +336,10 @@ def entropy_squeezed_double(
     The four shared classes (by members inside A at each measurement) carry
     tilts 2l1+2l2, 2l1+l2, l1+l2 and l2 respectively.
     """
-    from .counting import FINAL_SHARED, RIGHT_MOVER, ConfigurationClass, counting_measure
-
     protocol = MeasurementProtocol(ell=ell, tau=tau, m=2, t=t, outcomes=(q1, q2))
     sol = solve_saddle_squeezed((q1, q2), tau, ell, occ, config=config)
     l1, l2 = sol.lambdas
     baseline = unmeasured_entropy(1.0, t, ell, occ, config=config)
-    kinks = _multi_kinks(protocol)
 
     classes = {
         "chi[22]_AAbar": ((2, 2), 2 * l1 + 2 * l2),
@@ -396,13 +350,8 @@ def entropy_squeezed_double(
     quantum = []
     errs = []
     for label, (counts, tilt) in classes.items():
-        cls = ConfigurationClass(counts, FINAL_SHARED, RIGHT_MOVER)
-
-        def chi(k, cls=cls):
-            flat = np.atleast_1d(np.asarray(k, dtype=float))
-            return np.array([counting_measure(cls, kk, protocol) for kk in flat])
-
-        value, err = _quantum_integral(chi, tilt, 1, occ, kinks, config)
+        chi = counting_function([ConfigurationClass(counts, FINAL_SHARED, RIGHT_MOVER)], protocol)
+        value, err = _quantum_integral(chi, tilt, 1, occ, config)
         quantum.append((label, value))
         errs.append(err)
     if t >= _WASHOUT_RATIO * ell:
@@ -449,12 +398,12 @@ def averaged_correction(protocol: MeasurementProtocol, occ: OccupationFunction, 
         sigma_tau = variance_symmetric(tau, ell, occ, config=config)
         sigma_t = variance_symmetric(t, ell, occ, config=config)
         sigma_tmtau = variance_symmetric(t - tau, ell, occ, config=config)
-        kinks = _single_kinks(tau, t, ell)
+        (chi1,) = shared_suffix_chis(protocol)
 
         def integrand(k):
-            return single_measurement_chis_vec(k, tau, t, ell) * config_integrand(k)
+            return chi1(k) * config_integrand(k)
 
-        integral, _ = momentum_integral(integrand, kinks=kinks, config=config)
+        integral, _ = momentum_integral(integrand, kinks=chi1.kinks, config=config)
         variance_term = -(sigma_t - sigma_tmtau) / (2 * sigma_tau)
         config_term = integral / (2 * sigma_tau)
     else:

@@ -13,17 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import (
-    FINAL_SHARED,
-    RIGHT_MOVER,
-    ConfigurationClass,
-    MeasurementProtocol,
-    counting_measure,
-)
+from .counting import FINAL_SHARED, ConfigurationClass, MeasurementProtocol, counting_function
 from .entropy import EntropyReport, _quantum_integral, unmeasured_entropy
 from .errors import RegimeError
 from .fluctuations import variance_saturated
-from .quadrature import DEFAULT_CONFIG, momentum_integral, velocity_kinks
+from .quadrature import DEFAULT_CONFIG, momentum_integral
 from .states import OccupationFunction, Pairing
 
 MEASURE_SUBSYSTEM = "subsystem"
@@ -73,6 +67,8 @@ def _log_branch_double(beta, n):
     # log(n e^{2 i b} + 1 - n) = i b + log(cos b + i (2n-1) sin b): the
     # explicit i*b factor removes the winding for n > 1/2, leaving a
     # principal-branch-safe remainder for every n != 1/2 on |beta| < pi.
+    # For |beta| > pi/2 it jumps by 2 pi i where n = 1/2 (see
+    # `_half_filling_momenta`), and near |beta| = pi/2 it peaks there.
     re = 0.5 * np.log1p(-4.0 * n * (1.0 - n) * np.sin(beta) ** 2)
     im = beta + np.arctan2((2 * n - 1) * np.sin(beta), np.cos(beta))
     return re + 1j * im
@@ -124,9 +120,28 @@ def fcs_generating_function(
         )
         return np.real(value) if part == "re" else np.imag(value)
 
-    re, _ = momentum_integral(lambda k: integrand(k, "re"), config=config)
-    im, _ = momentum_integral(lambda k: integrand(k, "im"), config=config)
+    kinks = _half_filling_momenta(occ)
+    re, _ = momentum_integral(lambda k: integrand(k, "re"), kinks=kinks, config=config)
+    im, _ = momentum_integral(lambda k: integrand(k, "im"), kinks=kinks, config=config)
     return re + 1j * im
+
+
+def _half_filling_momenta(occ):
+    """Momenta where n(k) crosses 1/2, to machine precision: the sign changes
+    of n - 1/2 on a uniform grid of [-pi, pi], each bracket then cut into 32
+    per pass (ten passes take a 2 pi / 2048 bracket below rounding).  For
+    tilted states they sit at cos k = 2 cos(theta) / (1 + cos^2 theta)."""
+    k = np.linspace(-math.pi, math.pi, 2049)
+    below = np.signbit(occ.evaluate(k) - 0.5)
+    idx = np.nonzero(below[:-1] != below[1:])[0]
+    lo, hi, rows = k[idx], k[idx + 1], np.arange(len(idx))
+    cuts = np.linspace(0.0, 1.0, 33)
+    for _ in range(10):
+        grid = lo[:, None] + (hi - lo)[:, None] * cuts
+        below = np.signbit(occ.evaluate(grid) - 0.5)
+        first = np.argmax(below[:, :-1] != below[:, 1:], axis=1)
+        lo, hi = grid[rows, first], grid[rows, first + 1]
+    return (0.5 * (lo + hi)).tolist()
 
 
 def _log_single(beta, n):
@@ -199,21 +214,9 @@ def geometry_entropy(
     protocol = MeasurementProtocol(ell=ell, tau=0.0, m=1, t=t, outcomes=(q,))
     # Unpinned class at half weight: asymmetric measured regions feed A from
     # one side only, so the two member pins are not equivalent here.
-    cls = ConfigurationClass((2,), FINAL_SHARED, None)
-
-    def chi(k):
-        flat = np.atleast_1d(np.asarray(k, dtype=float))
-        return np.array(
-            [0.5 * counting_measure(cls, kk, protocol, measured_region=region) for kk in flat]
-        )
-
-    kinks = velocity_kinks(
-        [ell / t if t > 0 else math.inf, ell / (2 * t) if t > 0 else math.inf]
-        + ([geom.distance / t, (geom.distance + geom.ell_b) / t,
-            (ell + geom.distance) / t, (ell + geom.distance + geom.ell_b) / t]
-           if geom.measured_region == MEASURE_DISJOINT and t > 0 else [])
-    )
-    quantum, qerr = _quantum_integral(chi, lam, 2, occ, kinks, config)
+    chi = counting_function([ConfigurationClass((2,), FINAL_SHARED, None)], protocol, region,
+                            weight=0.5)
+    quantum, qerr = _quantum_integral(chi, lam, 2, occ, config)
     baseline = unmeasured_entropy(1.0, t, ell, occ, config=config)
     diagnostics.update(
         {"lambda": lam, "saddle_center": center, "saddle_variance": sigma2,

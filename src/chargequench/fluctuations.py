@@ -19,7 +19,7 @@ def _nn(occ, k):
     return n * (1.0 - n)
 
 
-def variance_symmetric(tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG, return_error=False):
+def variance_symmetric(tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG):
     """Subsystem charge variance of a charge-eigenstate quench at time tau.
 
     sigma_tau^2 = (1/2pi) int dk min(2|v_k| tau, ell) n(k)[1 - n(k)].
@@ -33,11 +33,11 @@ def variance_symmetric(tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG,
     def integrand(k):
         return np.minimum(2 * np.abs(np.sin(k)) * tau, ell) * _nn(occ, k)
 
-    value, err = momentum_integral(integrand, kinks=kinks, config=config)
-    return (value, err) if return_error else value
+    value, _ = momentum_integral(integrand, kinks=kinks, config=config)
+    return value
 
 
-def variance_squeezed(tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG, return_error=False):
+def variance_squeezed(tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG):
     """Subsystem charge variance of a squeezed-pair quench at time tau.
 
     sigma_tau^2 = (1/2pi) int dk [2 ell - min(2|v_k| tau, ell)] n(1-n):
@@ -51,8 +51,8 @@ def variance_squeezed(tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG, 
     def integrand(k):
         return (2 * ell - np.minimum(2 * np.abs(np.sin(k)) * tau, ell)) * _nn(occ, k)
 
-    value, err = momentum_integral(integrand, kinks=kinks, config=config)
-    return (value, err) if return_error else value
+    value, _ = momentum_integral(integrand, kinks=kinks, config=config)
+    return value
 
 
 def variance_saturated(ell, occ: OccupationFunction, config=DEFAULT_CONFIG):
@@ -61,10 +61,10 @@ def variance_saturated(ell, occ: OccupationFunction, config=DEFAULT_CONFIG):
     return value
 
 
-def drude_weight(occ: OccupationFunction, config=DEFAULT_CONFIG, return_error=False):
+def drude_weight(occ: OccupationFunction, config=DEFAULT_CONFIG):
     """Drude self weight D = (1/2pi) int dk |v_k| n(1-n)."""
-    value, err = momentum_integral(lambda k: np.abs(np.sin(k)) * _nn(occ, k), config=config)
-    return (value, err) if return_error else value
+    value, _ = momentum_integral(lambda k: np.abs(np.sin(k)) * _nn(occ, k), config=config)
+    return value
 
 
 def number_entropy(variance: float) -> float:

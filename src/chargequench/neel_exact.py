@@ -18,13 +18,10 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.special import betaln, gammaln
+import numpy as np
 
 from .errors import RegimeError
 from .quadrature import DEFAULT_CONFIG, momentum_integral
-from .states import neel_state
-
-import numpy as np
 
 _LONG_TIME_RATIO = 10.0
 
@@ -55,7 +52,8 @@ def neel_charged_moment(dq: float, tau: float) -> float:
         raise RegimeError(
             f"charged moment undefined: Gamma arguments ({a:g}, {b:g}) outside the domain"
         )
-    log_m = math.log(2.0) - x * math.log(2.0) - math.log(x) - betaln(a, b)
+    betaln = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    log_m = math.log(2.0) - x * math.log(2.0) - math.log(x) - betaln
     return math.exp(log_m)
 
 
@@ -68,9 +66,9 @@ def _log_measurement_factor(dq: float, tau: float) -> float:
         )
     return (
         2.0 * p * math.log(2.0)
-        + gammaln(p + dq + 1.0)
-        + gammaln(p - dq + 1.0)
-        - gammaln(2.0 * p + 1.0)
+        + math.lgamma(p + dq + 1.0)
+        + math.lgamma(p - dq + 1.0)
+        - math.lgamma(2.0 * p + 1.0)
     )
 
 
@@ -175,7 +173,3 @@ def neel_exact_pdf_logweight(dq, tau: float):
     u = np.where(inside, dq / a, 0.0)
     logw = (dq - a) * np.log1p(-u) - (dq + a) * np.log1p(u)
     return np.where(inside, logw, -np.inf)
-
-
-def neel_state_occupation():
-    return neel_state()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import MeasurementProtocol
+from .counting import MeasurementProtocol, counting_function, shared_suffix_classes
 from .entropy import EntropyReport, log_n_correction, unmeasured_entropy
 from .errors import FeasibilityError, RegimeError
 from .fluctuations import drude_weight, variance_squeezed, variance_symmetric
@@ -226,8 +226,7 @@ def monte_carlo_average(
 
 
 def _mc_symmetric(protocol, occ, samples, seed, mode, distribution, config):
-    from .entropy import _quantum_integral, _single_kinks, single_measurement_chis_vec
-    from .quadrature import velocity_kinks
+    from .entropy import _quantum_integral
     from .saddle import solve_saddle_symmetric_multi, solve_saddle_symmetric_single
 
     t, tau, ell, m = protocol.t, protocol.tau, protocol.ell, protocol.m
@@ -244,34 +243,27 @@ def _mc_symmetric(protocol, occ, samples, seed, mode, distribution, config):
 
     rows, counts = np.unique(seqs, axis=0, return_counts=True)
     increments = np.diff(np.hstack([np.full((len(rows), 1), ell / 2.0), rows]), axis=1)
+    # Inside the light cone (2t <= ell) every step's chi is 2|v_k| tau, so all
+    # steps with the same charge increment share step 1's correction.
     light_cone = 2 * t <= ell
+    chis = {l: counting_function(shared_suffix_classes(l, m), protocol)
+            for l in ((1,) if light_cone else range(1, m + 1))}
 
     cache: dict = {}
 
     def step_correction(l, dq):
-        key = (l if not light_cone else 0, float(dq))
+        step = 1 if light_cone else l
+        key = (step, float(dq))
         if key not in cache:
             if m == 1:
                 sol = solve_saddle_symmetric_single(dq, tau, ell, occ, mode=mode, config=config)
                 lam = sol.lambdas[0]
             else:
                 dq_probe = [0.0] * m
-                dq_probe[l - 1] = dq
+                dq_probe[step - 1] = dq
                 sol = solve_saddle_symmetric_multi(dq_probe, tau, ell, occ, config=config)
-                lam = sol.suffix_sums()[l - 1]
-            if light_cone:
-                chi = lambda k: 2 * np.abs(np.sin(k)) * tau
-                kinks = velocity_kinks([])
-            elif m == 1:
-                chi = lambda k: single_measurement_chis_vec(k, tau, t, ell)
-                kinks = _single_kinks(tau, t, ell)
-            else:
-                from .entropy import _multi_kinks, _suffix_chi_vectorised
-
-                chi = _suffix_chi_vectorised(l, protocol)
-                kinks = _multi_kinks(protocol)
-            value, _ = _quantum_integral(chi, lam, 1, occ, kinks, config)
-            cache[key] = value
+                lam = sol.suffix_sums()[step - 1]
+            cache[key], _ = _quantum_integral(chis[step], lam, 1, occ, config)
         return cache[key]
 
     totals = [
@@ -341,16 +333,3 @@ def _count_weighted_mean(totals, counts):
     mean = float(weights @ totals)
     variance = float(weights @ (totals - mean) ** 2) * samples / (samples - 1)
     return mean, math.sqrt(variance / samples)
-
-
-def degenerate_report(protocol, occ, outcome_seq, config=DEFAULT_CONFIG) -> EntropyReport:
-    """Single-outcome report used by the zero-variance consistency check."""
-    from .entropy import entropy_symmetric_multi, entropy_symmetric_single
-
-    if protocol.m == 1:
-        return entropy_symmetric_single(
-            protocol.t, protocol.tau, protocol.ell, outcome_seq[0], occ, config=config
-        )
-    return entropy_symmetric_multi(
-        protocol.t, protocol.tau, protocol.ell, list(outcome_seq), occ, config=config
-    )

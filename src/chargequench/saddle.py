@@ -75,7 +75,7 @@ def light_cone_charge_bound(tau: float, config=DEFAULT_CONFIG) -> float:
     return value
 
 
-def charge_window(tau: float, ell: float, occ=None, config=DEFAULT_CONFIG) -> float:
+def charge_window(tau: float, ell: float, config=DEFAULT_CONFIG) -> float:
     """Exact saddle domain: |dq| < (1/2) (1/2pi) int dk min(2|v_k| tau, ell)."""
     kinks = velocity_kinks([ell / (2 * tau)] if tau > 0 else [])
     value, _ = momentum_integral(

@@ -1,4 +1,4 @@
-"""Dispersion, initial-state occupation functions and pair entropies.
+"""Initial-state occupation functions and pair entropies.
 
 Two classes of Gaussian initial states are supported, distinguished by how
 momenta are paired:
@@ -9,7 +9,9 @@ momenta are paired:
   symmetry (``n(k)`` must be even).
 
 In both cases the two members of a pair move with opposite group
-velocities, which is all the counting machinery downstream relies on.
+velocities, which is all the counting machinery downstream relies on.  The
+band is the tight-binding one, ``eps_k = -cos k``: every module uses its
+group velocity as ``v = |sin k|``.
 """
 
 from __future__ import annotations
@@ -27,27 +29,6 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig, momentum_integral
 class Pairing(enum.Enum):
     SYMMETRIC_PARTICLE_HOLE = "symmetric-particle-hole"
     SQUEEZED_PAIR = "squeezed-pair"
-
-
-# ---------------------------------------------------------------------------
-# Dispersion
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DispersionModel:
-    """Single-band dispersion with its group velocity."""
-
-    dispersion: Callable[[np.ndarray], np.ndarray]
-    velocity: Callable[[np.ndarray], np.ndarray]
-    max_velocity: float
-
-
-TIGHT_BINDING = DispersionModel(
-    dispersion=lambda k: -np.cos(k),
-    velocity=lambda k: np.sin(k),
-    max_velocity=1.0,
-)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,58 @@
+import math
+
+import pytest
+
+from chargequench.cli import _COMMANDS, JobSpec, main
+
+# Every subcommand with only the arguments it needs; the defaults do the rest.
+RUNS = {
+    "curve": ["curve", "--ell", "40", "--tau", "6", "--t", "18", "--q", "20"],
+    "sweep": ["sweep", "--ell", "40", "--tau", "6", "--t", "16", "--q-grid", "19:21"],
+    "saddle": ["saddle", "--ell", "40", "--tau", "6", "--dq=-1:1"],
+    "saddle-tilted": ["saddle", "--state", f"tilted:{math.pi / 3!r}", "--ell", "40", "--tau", "3",
+                      "--dq=-2:2"],
+    "average": ["average", "--ell", "40", "--tau", "6", "--t", "14"],
+    "sample": ["sample", "--ell", "40", "--tau", "6", "--samples", "100"],
+    "neel": ["neel", "--tau", "20", "--dq=-1:1"],
+    "fcs": ["fcs", "--ell", "40", "--tau", "6"],
+    "fcs-dimer": ["fcs", "--state", "dimer", "--ell", "40", "--tau", "6"],
+    "fcs-tilted": ["fcs", "--state", "tilted:1.1", "--ell", "40", "--tau", "3"],
+    "geometry": ["geometry", "--state", "tilted:1.1", "--ell", "40", "--t", "25", "--q", "24",
+                 "--geometry", "complement", "--L", "80"],
+    "oracle": ["oracle", "--L", "8", "--ell", "4", "--tau", "1", "--t", "2"],
+}
+
+
+def _artifacts(out_dir):
+    """file name -> lines, without the `generated` timestamp."""
+    return {
+        path.name: [line for line in path.read_text().splitlines() if not line.startswith("# generated=")]
+        for path in sorted(out_dir.iterdir())
+    }
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_subcommand_runs_and_is_reproducible(name, tmp_path, capsys):
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main([*RUNS[name], "--out", str(first)]) == 0, capsys.readouterr().err
+    assert main([*RUNS[name], "--out", str(second)]) == 0, capsys.readouterr().err
+    got, again = _artifacts(first), _artifacts(second)
+    assert got and got == again
+    # config_hash is part of the compared lines: the --out directory does not enter it
+    hashes = [line for lines in got.values() for line in lines if line.startswith("# config_hash=")]
+    assert hashes or name == "average"  # average.json carries no metadata
+
+
+def test_every_subcommand_is_covered():
+    assert {argv[0] for argv in RUNS.values()} == set(_COMMANDS)
+
+
+def test_config_hash_depends_only_on_result_inputs():
+    job = JobSpec("curve", {"ell": 40.0, "q": "20"}, rtol=1e-10, seed=3)
+    same = JobSpec("curve", {"ell": 40.0, "q": "20"}, rtol=1e-10, seed=3, out_dir="elsewhere", fmt="csv")
+    assert job.config_hash() == same.config_hash()
+    for other in (JobSpec("curve", {"ell": 41.0, "q": "20"}, rtol=1e-10, seed=3),
+                  JobSpec("curve", {"ell": 40.0, "q": "20"}, rtol=1e-8, seed=3),
+                  JobSpec("curve", {"ell": 40.0, "q": "20"}, rtol=1e-10, seed=4),
+                  JobSpec("sweep", {"ell": 40.0, "q": "20"}, rtol=1e-10, seed=3)):
+        assert other.config_hash() != job.config_hash()

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargequench.counting import (
     FINAL_BOTH_IN,
@@ -14,11 +16,13 @@ from chargequench.counting import (
     MeasurementProtocol,
     chi_closed_forms,
     chi_shared_suffix,
+    counting_function,
     counting_measure,
     enumerate_classes,
     pair_positions,
     paper_chi,
     single_measurement_chis,
+    velocity_breakpoints,
 )
 from chargequench.errors import RegimeError
 
@@ -186,3 +190,52 @@ def test_class_validation():
         counting_measure(ConfigurationClass((1,), FINAL_SHARED, RIGHT_MOVER), 1.0, prot)
     with pytest.raises(ValueError):
         MeasurementProtocol(ell=5.0, tau=2.0, m=2, t=3.0)  # t < m tau
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    ell=st.floats(0.5, 50.0),
+    tau=st.floats(0.0, 10.0),
+    extra=st.floats(0.0, 60.0),
+    gap=st.floats(0.0, 20.0),
+    ell_b=st.floats(0.5, 20.0),
+    ks=st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=8),
+)
+def test_counting_function_matches_classifier(m, ell, tau, extra, gap, ell_b, ks):
+    # the engine interpolates between breakpoints: it must reproduce the
+    # scalar classifier at any momentum, for A itself and the geometry regions
+    t = m * tau + extra
+    protocol = MeasurementProtocol(ell=ell, tau=tau, m=m, t=t)
+    reach = t + ell + 1.0
+    regions = {
+        "subsystem": None,
+        "complement": [(-reach, 0.0), (ell, ell + reach)],
+        "disjoint": [(ell + gap, ell + gap + ell_b)],
+    }
+    for name, region in regions.items():
+        for cls in enumerate_classes(m):
+            try:
+                chi = counting_function([cls], protocol, region)
+            except ValueError:
+                # refused only where the classifier reports an infinite measure
+                assert region is not None
+                assert any(math.isinf(counting_measure(cls, math.asin(v), protocol, region))
+                           for v in velocity_breakpoints(protocol, region))
+                continue
+            for k, value in zip(ks, chi(np.array(ks))):
+                want = counting_measure(cls, k, protocol, region)
+                assert abs(value - want) <= 1e-12 * max(1.0, ell), (name, cls.label(), k)
+
+
+def test_counting_function_kinks_and_refusal():
+    # the kinks include the light-cone crossings |sin k| = ell/(t + tau) and
+    # ell/(2t) of chi[1]_AAbar; a class of infinite measure is refused
+    ell, tau, t = 10.0, 2.0, 9.0
+    protocol = MeasurementProtocol(ell=ell, tau=tau, m=1, t=t)
+    chi = counting_function([ConfigurationClass((1,), FINAL_SHARED, RIGHT_MOVER)], protocol)
+    for v_star in (ell / (t + tau), ell / (2 * t)):
+        for k_star in (math.asin(v_star), math.pi - math.asin(v_star)):
+            assert min(abs(k - k_star) for k in chi.kinks) < 1e-15
+    with pytest.raises(ValueError):
+        counting_function([ConfigurationClass((0,), FINAL_BOTH_OUT)], protocol)

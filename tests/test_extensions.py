@@ -7,6 +7,7 @@ from chargequench import (
     fcs_generating_function,
     geometry_entropy,
     GeometrySpec,
+    get_state,
     pair_entropy,
     unmeasured_entropy,
     variance_squeezed,
@@ -66,15 +67,17 @@ def test_fcs_reality_and_regime(dimer, tilted_max):
 
 
 def test_fcs_sweep_continuity(tilted_max):
-    # halving the step halves the increments: no 2-pi branch jumps
+    # halving the step halves the increments: no 2-pi branch jumps.  For
+    # theta != pi/2 and |beta| > pi/2 the integrand jumps where n(k) = 1/2,
+    # away from any bisection point of [-pi, pi].
     tau, ell = 40.0, 1000.0
-    coarse = np.linspace(0.5, 3.0, 21)
-    fine = np.linspace(0.5, 3.0, 41)
-    vc = fcs_sweep(coarse, tau, ell, tilted_max.occupation)
-    vf = fcs_sweep(fine, tau, ell, tilted_max.occupation)
-    inc_c = np.max(np.abs(np.diff(vc)))
-    inc_f = np.max(np.abs(np.diff(vf)))
-    assert inc_f < 0.75 * inc_c
+    for occ, lo, hi in ((tilted_max.occupation, 0.5, 3.0), (get_state("tilted:1.1").occupation, -3.0, 3.0)):
+        vc = fcs_sweep(np.linspace(lo, hi, 21), tau, ell, occ)
+        vf = fcs_sweep(np.linspace(lo, hi, 41), tau, ell, occ)
+        assert np.all(np.isfinite(vc)) and np.all(np.isfinite(vf))
+        inc_c = np.max(np.abs(np.diff(vc)))
+        inc_f = np.max(np.abs(np.diff(vf)))
+        assert inc_f < 0.75 * inc_c
 
 
 def test_geometry_disjoint_light_cone(tilted_max):

@@ -6,7 +6,6 @@ import pytest
 from chargequench import (
     Pairing,
     QuenchState,
-    TIGHT_BINDING,
     get_state,
     occupation_dimer,
     occupation_neel,
@@ -17,17 +16,6 @@ from chargequench.quadrature import momentum_integral
 from chargequench.states import dimer_state, f_alpha, tilted_state
 
 GRID = np.linspace(-math.pi, math.pi, 1001)
-
-
-def test_dispersion_velocity_is_derivative():
-    h = 1e-4
-    ks = np.linspace(-math.pi + h, math.pi - h, 201)
-    fd = (TIGHT_BINDING.dispersion(ks + h) - TIGHT_BINDING.dispersion(ks - h)) / (2 * h)
-    assert np.max(np.abs(TIGHT_BINDING.velocity(ks) - fd)) < 1e-6
-
-
-def test_velocity_bounded_by_max():
-    assert np.max(np.abs(TIGHT_BINDING.velocity(GRID))) <= TIGHT_BINDING.max_velocity + 1e-15
 
 
 def test_occupation_neel_values():
