@@ -18,7 +18,6 @@ from .counting import (
     chi_closed_forms,
     chi_shared_suffix,
     counting_measure,
-    pair_positions,
     paper_chi,
 )
 from .entropy import (

@@ -35,6 +35,7 @@ from .errors import (
     RegimeError,
 )
 from .extensions import GeometrySpec, fcs_generating_function, geometry_entropy
+from .fluctuations import variance_symmetric
 from .neel_exact import neel_entropy_exact, stirling_expansion
 from .probability import (
     chain_distribution,
@@ -127,21 +128,6 @@ def _write_artifact(job: JobSpec, name: str, header, rows, extra_meta=None):
     return paths
 
 
-def read_artifact_rows(path: str):
-    """Rows of a CSV artifact, skipping the metadata header."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("#"):
-                continue
-            parts = line.strip().split(",")
-            if parts == [""]:
-                continue
-            rows.append(parts)
-    header, data = rows[0], rows[1:]
-    return header, [[float(v) for v in row] for row in data]
-
-
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 # ---------------------------------------------------------------------------
@@ -209,10 +195,10 @@ def _cmd_saddle(job: JobSpec):
             # dq from the mean charge; the saddle is linear, exact = linearized
             sol = solve_saddle_squeezed((ell * occ.mean_density + dq,), tau, ell, occ, config=config)
             rows.append((dq, sol.lambdas[0], sol.lambdas[0], 1, sol.regime))
-        elif feasibility([dq], tau, occ.pairing, config=config)[0]:
+        elif feasibility([dq], tau, ell, occ.pairing, config=config)[0]:
             exact = solve_saddle_symmetric_single(dq, tau, ell, occ, config=config)
-            lin = solve_saddle_symmetric_single(dq, tau, ell, occ, mode="linearized", config=config)
-            rows.append((dq, exact.lambdas[0], lin.lambdas[0], 1, exact.regime))
+            lin = dq / variance_symmetric(tau, ell, occ, config=config)
+            rows.append((dq, exact.lambdas[0], lin, 1, exact.regime))
         else:
             rows.append((dq, math.nan, math.nan, 0, "infeasible"))
     header = ["dq", "lambda_exact", "lambda_linearized", "feasible", "regime"]

@@ -116,17 +116,6 @@ class ConfigurationClass:
         return f"chi[{''.join(map(str, self.counts))}]_{self.final}{pin}"
 
 
-def pair_positions(x0, k, t):
-    """Positions at time t of the pair born at x0: ``(x0 + v_k t, x0 - v_k t)``.
-
-    ``v_k = sin k``; the partner moves with ``-v_k`` for both pairing classes
-    (the cosine band has ``v_{k-pi} = -v_k``; the squeezed partner ``-k`` has
-    ``-v_k``).
-    """
-    v = math.sin(float(k))
-    return (x0 + v * t, x0 - v * t)
-
-
 # ---------------------------------------------------------------------------
 # Geometric classifier
 # ---------------------------------------------------------------------------
@@ -286,6 +275,19 @@ def counting_function(classes, protocol: MeasurementProtocol, measured_region=No
     if not np.all(np.isfinite(values)):
         raise ValueError("counting function of a class with infinite measure")
     return CountingFunction(v, values)
+
+
+def light_cone_weight(t: float, ell: float) -> CountingFunction:
+    """``min(2|v_k| t, ell)``, the weight of the pairs shared between A and
+    its complement at time t: the m = 0 shared class in closed form.
+
+    It is linear in v = |sin k| up to v = ell/2t and flat at ell beyond, so
+    its only kink is at ell/2t (none when 2t <= ell).  Every variance, the
+    charge window and the unmeasured entropy integrate it.
+    """
+    if 2 * t <= ell:
+        return CountingFunction(np.array([0.0, 1.0]), np.array([0.0, 2.0 * t]))
+    return CountingFunction(np.array([0.0, ell / (2 * t), 1.0]), np.array([0.0, ell, ell]))
 
 
 # ---------------------------------------------------------------------------

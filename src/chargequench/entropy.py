@@ -24,10 +24,17 @@ from .counting import (
     ConfigurationClass,
     MeasurementProtocol,
     counting_function,
+    light_cone_weight,
     shared_suffix_chis,
 )
 from .errors import RegimeError
-from .fluctuations import drude_weight, variance_symmetric
+from .fluctuations import (
+    asymmetry,
+    drude_weight,
+    variance_squeezed,
+    variance_steps,
+    variance_symmetric,
+)
 from .quadrature import DEFAULT_CONFIG, momentum_integral
 from .saddle import (
     solve_saddle_squeezed,
@@ -87,13 +94,12 @@ def unmeasured_entropy(alpha, t, ell, occ: OccupationFunction, config=DEFAULT_CO
     ``(1/2pi) int dk min(2|v_k| t, ell) s_alpha[n(k)]``."""
     if t < 0 or ell <= 0:
         raise ValueError("need t >= 0 and ell > 0")
-    chi = counting_function([ConfigurationClass((), FINAL_SHARED, RIGHT_MOVER)],
-                            MeasurementProtocol(ell=ell, tau=0.0, m=0, t=t))
+    weight = light_cone_weight(t, ell)
 
     def integrand(k):
-        return chi(k) * pair_entropy(occ.evaluate(k), alpha)
+        return weight(k) * pair_entropy(occ.evaluate(k), alpha)
 
-    value, _ = momentum_integral(integrand, kinks=chi.kinks, config=config)
+    value, _ = momentum_integral(integrand, kinks=weight.kinks, config=config)
     return value
 
 
@@ -155,9 +161,9 @@ def log_n_correction(
     """
     if occ.pairing is Pairing.SQUEEZED_PAIR:
         return _log_n_squeezed(t, tau, ell, occ, config)
-    sigmas = [variance_symmetric(l * tau, ell, occ, config=config) for l in range(m + 1)]
-    deltas = [sigmas[l] - sigmas[l - 1] for l in range(1, m + 1)]
-    if any(d <= 0 for d in deltas):
+    try:
+        deltas = variance_steps(tau, m, ell, occ, config=config)
+    except RegimeError:
         return None, LOGN_UNKNOWN
     if t <= ell / 2 + 1e-12:
         value = sum(-0.5 * math.log(2 * math.pi * d) for d in deltas)
@@ -165,11 +171,10 @@ def log_n_correction(
     if m == 1 and abs(t - tau) < 1e-12:
         return -0.5 * math.log(2 * math.pi * deltas[0]), "symmetric-at-measurement"
     if tau * m < ell / 2:
+        tails = [variance_symmetric(t - l * tau, ell, occ, config=config) for l in range(m + 1)]
         total = 0.0
         for l in range(1, m + 1):
-            tail = variance_symmetric(t - l * tau, ell, occ, config=config)
-            tail_prev = variance_symmetric(t - (l - 1) * tau, ell, occ, config=config)
-            denom = deltas[l - 1] + tail - tail_prev
+            denom = deltas[l - 1] + tails[l] - tails[l - 1]
             if denom <= 0:
                 return None, LOGN_UNKNOWN
             total += -0.5 * math.log(deltas[l - 1] / denom)
@@ -183,8 +188,6 @@ def log_n_correction(
 
 
 def _log_n_squeezed(t, tau, ell, occ, config):
-    from .fluctuations import asymmetry, variance_squeezed  # local: avoids cycle at import
-
     if abs(t - tau) < 1e-12:
         sigma2 = variance_squeezed(tau, ell, occ, config=config)
         delta_s = asymmetry(tau, ell, occ, config=config)
@@ -242,7 +245,7 @@ def _quantum_integral(chi, lam, weight, occ, config):
 
 
 def entropy_symmetric_single(
-    t, tau, ell, q, occ: OccupationFunction, mode: str = "exact", config=DEFAULT_CONFIG
+    t, tau, ell, q, occ: OccupationFunction, config=DEFAULT_CONFIG
 ) -> EntropyReport:
     """Entropy after one charge measurement on a symmetric state.
 
@@ -252,7 +255,7 @@ def entropy_symmetric_single(
     if t < tau:
         raise ValueError("final time precedes the measurement")
     dq = q - ell / 2.0
-    sol = solve_saddle_symmetric_single(dq, tau, ell, occ, mode=mode, config=config)
+    sol = solve_saddle_symmetric_single(dq, tau, ell, occ, config=config)
     lam = sol.lambdas[0]
     baseline = unmeasured_entropy(1.0, t, ell, occ, config=config)
     (chi1,) = shared_suffix_chis(MeasurementProtocol(ell=ell, tau=tau, m=1, t=t))

@@ -1,8 +1,11 @@
 """Exception types shared across the library.
 
-Each class maps to a distinct CLI exit code (see ``cli.EXIT_CODES``), so
-callers can tell an unphysical measurement outcome apart from a numerical
-failure without parsing messages.
+The CLI maps them to exit codes, so callers can tell an unphysical
+measurement outcome apart from a numerical failure without parsing
+messages: `FeasibilityError` and `ForbiddenOutcomeError` exit with
+``cli.EXIT_INFEASIBLE`` (3), `RegimeError` with ``cli.EXIT_REGIME`` (4),
+`QuadratureError` with ``cli.EXIT_QUADRATURE`` (5) and any other error with
+``cli.EXIT_OTHER`` (1).
 """
 
 

@@ -153,11 +153,6 @@ def _log_single(beta, n):
     return re + 1j * im
 
 
-def fcs_sweep(betas, tau, ell, occ, config=DEFAULT_CONFIG):
-    """F(beta) on a grid, with branch continuity guaranteed by construction."""
-    return np.array([fcs_generating_function(b, tau, ell, occ, config=config) for b in betas])
-
-
 # ---------------------------------------------------------------------------
 # Alternate geometries
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ import math
 
 import numpy as np
 
-from .quadrature import DEFAULT_CONFIG, momentum_integral, velocity_kinks
+from .counting import light_cone_weight
+from .errors import RegimeError
+from .quadrature import DEFAULT_CONFIG, momentum_integral
 from .states import OccupationFunction, Pairing
 
 #: Returned by `asymmetry` when the state carries no charge fluctuations.
@@ -28,13 +30,28 @@ def variance_symmetric(tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG)
     """
     if tau < 0 or ell <= 0:
         raise ValueError("need tau >= 0 and ell > 0")
-    kinks = velocity_kinks([ell / (2 * tau)] if tau > 0 else [])
-
-    def integrand(k):
-        return np.minimum(2 * np.abs(np.sin(k)) * tau, ell) * _nn(occ, k)
-
-    value, _ = momentum_integral(integrand, kinks=kinks, config=config)
+    weight = light_cone_weight(tau, ell)
+    value, _ = momentum_integral(lambda k: weight(k) * _nn(occ, k), kinks=weight.kinks, config=config)
     return value
+
+
+def variance_steps(tau, m, ell, occ: OccupationFunction, config=DEFAULT_CONFIG):
+    """The variance each period adds, sigma_{l tau}^2 - sigma_{(l-1) tau}^2
+    for l = 1..m, with sigma_0^2 = 0 exactly.
+
+    These set the Gaussian outcome steps, the multiplier chain and the
+    classical correction.  Raises RegimeError once the variance saturates
+    (a step of at most 1e-14), where the chain is singular.
+    """
+    sigmas = [0.0] + [variance_symmetric(l * tau, ell, occ, config=config) for l in range(1, m + 1)]
+    steps = tuple(sigmas[l] - sigmas[l - 1] for l in range(1, m + 1))
+    for l, step in enumerate(steps, 1):
+        if step <= 1e-14:
+            raise RegimeError(
+                f"charge variance saturated between measurements {l - 1} and {l} "
+                f"(tau = {tau:g}, ell = {ell:g}); the multiplier chain is singular"
+            )
+    return steps
 
 
 def variance_squeezed(tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG):
@@ -46,12 +63,10 @@ def variance_squeezed(tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG):
     """
     if tau < 0 or ell <= 0:
         raise ValueError("need tau >= 0 and ell > 0")
-    kinks = velocity_kinks([ell / (2 * tau)] if tau > 0 else [])
-
-    def integrand(k):
-        return (2 * ell - np.minimum(2 * np.abs(np.sin(k)) * tau, ell)) * _nn(occ, k)
-
-    value, _ = momentum_integral(integrand, kinks=kinks, config=config)
+    weight = light_cone_weight(tau, ell)
+    value, _ = momentum_integral(
+        lambda k: (2 * ell - weight(k)) * _nn(occ, k), kinks=weight.kinks, config=config
+    )
     return value
 
 
@@ -84,12 +99,10 @@ def asymmetry(tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG):
     """
     if occ.pairing is not Pairing.SQUEEZED_PAIR:
         raise ValueError("entanglement asymmetry is defined for squeezed-pair states")
-    kinks = velocity_kinks([ell / (2 * tau)] if tau > 0 else [])
-
-    def integrand(k):
-        return 2.0 * (ell - np.minimum(2 * np.abs(np.sin(k)) * tau, ell)) * _nn(occ, k)
-
-    chi_tau, _ = momentum_integral(integrand, kinks=kinks, config=config)
+    weight = light_cone_weight(tau, ell)
+    chi_tau, _ = momentum_integral(
+        lambda k: 2.0 * (ell - weight(k)) * _nn(occ, k), kinks=weight.kinks, config=config
+    )
     if chi_tau <= 1e-300:
         return ASYMMETRY_REGIME_EXCEEDED
     return 0.5 * math.log(2.0 * math.pi * math.e * chi_tau)

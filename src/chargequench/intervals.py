@@ -75,14 +75,6 @@ class IntervalSet:
             out.append((cursor, hi))
         return IntervalSet.from_pairs(out)
 
-    def difference(self, other: "IntervalSet", window=None) -> "IntervalSet":
-        if window is None:
-            endpoints = [p for a, b in self.intervals for p in (a, b)]
-            if not endpoints:
-                return self
-            window = (min(endpoints) - 1.0, max(endpoints) + 1.0)
-        return self.intersect(other.complement(window))
-
     def touches(self, point: float, tol: float = 0.0) -> bool:
         return any(a - tol <= point <= b + tol for a, b in self.intervals)
 

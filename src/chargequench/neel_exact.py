@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .counting import light_cone_weight
 from .errors import RegimeError
 from .quadrature import DEFAULT_CONFIG, momentum_integral
 
@@ -73,9 +74,8 @@ def _log_measurement_factor(dq: float, tau: float) -> float:
 
 
 def _baseline(t: float, ell: float, config) -> float:
-    value, _ = momentum_integral(
-        lambda k: np.minimum(2 * np.abs(np.sin(k)) * t, ell) * math.log(2.0), config=config
-    )
+    weight = light_cone_weight(t, ell)
+    value, _ = momentum_integral(lambda k: weight(k) * math.log(2.0), kinks=weight.kinks, config=config)
     return value
 
 

@@ -17,16 +17,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import MeasurementProtocol, counting_function, shared_suffix_classes
-from .entropy import EntropyReport, log_n_correction, unmeasured_entropy
+from .entropy import (
+    EntropyReport,
+    _quantum_integral,
+    entropy_squeezed_double,
+    entropy_squeezed_single,
+    log_n_correction,
+    unmeasured_entropy,
+)
 from .errors import FeasibilityError, RegimeError
-from .fluctuations import drude_weight, variance_squeezed, variance_symmetric
+from .fluctuations import drude_weight, variance_squeezed, variance_steps
 from .neel_exact import neel_charged_moment, neel_exact_pdf_logweight
 from .quadrature import DEFAULT_CONFIG, integrate
-from .saddle import light_cone_charge_bound
+from .saddle import charge_window, solve_saddle_symmetric_single
 from .states import OccupationFunction, Pairing
 
-KIND_GAUSSIAN_SINGLE = "gaussian-single"
-KIND_GAUSSIAN_CHAIN = "gaussian-chain"
+KIND_GAUSSIAN = "gaussian"
 KIND_NEEL_EXACT = "neel-exact"
 
 
@@ -34,10 +40,10 @@ KIND_NEEL_EXACT = "neel-exact"
 class OutcomeDistribution:
     """Distribution over one or more measurement outcomes.
 
-    For the chain kind each step is a Gaussian centred on the previous
-    outcome with variance equal to the charge variance freshly accumulated
-    during that period.  ``window`` is the per-step feasibility half-width
-    (None = unrestricted first step for squeezed states).
+    For the Gaussian kind each step is centred on the previous outcome with
+    variance equal to the charge variance freshly accumulated during that
+    period.  ``window`` is the per-step feasibility half-width, an open bound
+    (None = unrestricted).
     """
 
     kind: str
@@ -58,26 +64,19 @@ class OutcomeDistribution:
         return self.window
 
 
-def symmetric_single_distribution(tau, ell, occ, config=DEFAULT_CONFIG):
-    var = variance_symmetric(tau, ell, occ, config=config)
-    window = light_cone_charge_bound(tau, config=config)
-    return OutcomeDistribution(KIND_GAUSSIAN_SINGLE, ell / 2.0, (var,), tau, ell, window)
-
-
 def squeezed_single_distribution(tau, ell, occ, qbar, config=DEFAULT_CONFIG):
     var = variance_squeezed(tau, ell, occ, config=config)
     return OutcomeDistribution(
-        KIND_GAUSSIAN_SINGLE, qbar, (var,), tau, ell, None, first_step_unrestricted=True
+        KIND_GAUSSIAN, qbar, (var,), tau, ell, None, first_step_unrestricted=True
     )
 
 
 def chain_distribution(tau, m, ell, occ, config=DEFAULT_CONFIG):
-    sigmas = [variance_symmetric(l * tau, ell, occ, config=config) for l in range(m + 1)]
-    steps = tuple(sigmas[l] - sigmas[l - 1] for l in range(1, m + 1))
-    if any(s <= 0 for s in steps):
-        raise RegimeError("saturated charge variance: chain steps are degenerate")
-    window = light_cone_charge_bound(tau, config=config)
-    return OutcomeDistribution(KIND_GAUSSIAN_CHAIN, ell / 2.0, steps, tau, ell, window)
+    """Gaussian law of m outcomes on a symmetric state: steps of the
+    `variance_steps`, each inside the `charge_window`."""
+    steps = variance_steps(tau, m, ell, occ, config=config)
+    window = charge_window(tau, ell, config=config)
+    return OutcomeDistribution(KIND_GAUSSIAN, ell / 2.0, steps, tau, ell, window)
 
 
 def neel_exact_distribution(tau, ell, m: int = 1):
@@ -130,7 +129,7 @@ def outcome_pdf(dist: OutcomeDistribution, q) -> float:
     for step, qi in enumerate(qs):
         dq = qi - prev
         window = dist.step_window(step)
-        if window is not None and abs(dq) > window:
+        if window is not None and abs(dq) >= window:
             return 0.0
         density *= float(_gaussian_pdf(dq, dist.step_variances[step]))
         prev = qi
@@ -180,7 +179,7 @@ def sample_many(seed, dist: OutcomeDistribution, n: int, m: int | None = None, m
             cand = np.round(prev[pending] + sigma * rng.standard_normal(pending.size))
             ok = (cand >= 0) & (cand <= dist.ell)
             if window is not None:
-                ok &= np.abs(cand - prev[pending]) <= window
+                ok &= np.abs(cand - prev[pending]) < window
             draws[pending[ok]] = cand[ok]
             rejections += int(np.sum(~ok))
             if rejections > max_rejections:
@@ -203,7 +202,6 @@ def monte_carlo_average(
     occ: OccupationFunction,
     samples: int,
     seed: int,
-    mode: str = "exact",
     distribution: OutcomeDistribution | None = None,
     config=DEFAULT_CONFIG,
 ):
@@ -221,14 +219,11 @@ def monte_carlo_average(
     if samples < 100:
         raise ValueError("need at least 100 samples")
     if occ.pairing is Pairing.SYMMETRIC_PARTICLE_HOLE:
-        return _mc_symmetric(protocol, occ, samples, seed, mode, distribution, config)
+        return _mc_symmetric(protocol, occ, samples, seed, distribution, config)
     return _mc_squeezed(protocol, occ, samples, seed, distribution, config)
 
 
-def _mc_symmetric(protocol, occ, samples, seed, mode, distribution, config):
-    from .entropy import _quantum_integral
-    from .saddle import solve_saddle_symmetric_multi, solve_saddle_symmetric_single
-
+def _mc_symmetric(protocol, occ, samples, seed, distribution, config):
     t, tau, ell, m = protocol.t, protocol.tau, protocol.ell, protocol.m
     dist = distribution or chain_distribution(tau, m, ell, occ, config=config)
     seqs, rejections = sample_many(seed, dist, samples)
@@ -248,6 +243,10 @@ def _mc_symmetric(protocol, occ, samples, seed, mode, distribution, config):
     light_cone = 2 * t <= ell
     chis = {l: counting_function(shared_suffix_classes(l, m), protocol)
             for l in ((1,) if light_cone else range(1, m + 1))}
+    if m > 1:
+        # the linearised chain: step l's tilt is dq_l / (its variance step)
+        steps = variance_steps(tau, m, ell, occ, config=config)
+        window = charge_window(tau, ell, config=config)
 
     cache: dict = {}
 
@@ -256,13 +255,13 @@ def _mc_symmetric(protocol, occ, samples, seed, mode, distribution, config):
         key = (step, float(dq))
         if key not in cache:
             if m == 1:
-                sol = solve_saddle_symmetric_single(dq, tau, ell, occ, mode=mode, config=config)
-                lam = sol.lambdas[0]
+                lam = solve_saddle_symmetric_single(dq, tau, ell, occ, config=config).lambdas[0]
+            elif abs(dq) >= window:
+                raise FeasibilityError(
+                    f"measurement {l}: |dq| = {abs(dq):g} exceeds the window {window:g}", step=l
+                )
             else:
-                dq_probe = [0.0] * m
-                dq_probe[step - 1] = dq
-                sol = solve_saddle_symmetric_multi(dq_probe, tau, ell, occ, config=config)
-                lam = sol.suffix_sums()[step - 1]
+                lam = dq / steps[step - 1]
             cache[key], _ = _quantum_integral(chis[step], lam, 1, occ, config)
         return cache[key]
 
@@ -280,8 +279,6 @@ def _mc_symmetric(protocol, occ, samples, seed, mode, distribution, config):
 
 
 def _mc_squeezed(protocol, occ, samples, seed, distribution, config):
-    from .entropy import entropy_squeezed_double, entropy_squeezed_single
-
     t, tau, ell, m = protocol.t, protocol.tau, protocol.ell, protocol.m
     if m not in (1, 2):
         raise RegimeError("squeezed Monte-Carlo supports m in {1, 2}")
@@ -291,17 +288,16 @@ def _mc_squeezed(protocol, occ, samples, seed, distribution, config):
             distribution = squeezed_single_distribution(tau, ell, occ, qbar, config=config)
         else:
             var1 = variance_squeezed(tau, ell, occ, config=config)
-            bound = light_cone_charge_bound(tau, config=config)
             # after the first projection the subsystem charge is pinned, so the
             # second increment carries the ballistic (symmetric-like) variance
             step2 = 2.0 * tau * drude_weight(occ, config=config)
             distribution = OutcomeDistribution(
-                KIND_GAUSSIAN_CHAIN,
+                KIND_GAUSSIAN,
                 qbar,
                 (var1, step2),
                 tau,
                 ell,
-                bound,
+                charge_window(tau, ell, config=config),
                 first_step_unrestricted=True,
             )
     seqs, rejections = sample_many(seed, distribution, samples)

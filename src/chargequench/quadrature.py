@@ -13,27 +13,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
 from .errors import QuadratureError
 
 _TINY = 1e-300
+NODES = 24  # Gauss-Legendre nodes per panel
+MAX_DEPTH = 40  # bisections of one panel before QuadratureError
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Panel order, target relative tolerance and kink handling."""
+    """Target relative tolerance of every momentum integral."""
 
-    nodes: int = 24
     rtol: float = 1e-10
-    split_kinks: bool = True
-    max_depth: int = 40
 
     def __post_init__(self):
-        if self.nodes < 8:
-            raise ValueError("quadrature needs at least 8 nodes per panel")
         if self.rtol <= 0:
             raise ValueError("relative tolerance must be positive")
 
@@ -41,19 +38,19 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-@lru_cache(maxsize=32)
-def _gauss_legendre(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+@cache
+def _gauss_legendre():
+    # built on first use, so that importing the package does not load numpy.polynomial
+    return np.polynomial.legendre.leggauss(NODES)
 
 
-def _panel_value(f, a, b, n):
+def _panel_value(f, a, b):
     """(panel integral, largest term size at the nodes).
 
     ``f`` returns either its values or a pair ``(values, sizes)`` where
     ``sizes`` bounds the terms whose sum (or difference) each value is.
     """
-    x, w = _gauss_legendre(n)
+    x, w = _gauss_legendre()
     y = 0.5 * (b - a) * x + 0.5 * (a + b)
     out = f(y)
     values, sizes = out if isinstance(out, tuple) else (out, out)
@@ -62,17 +59,17 @@ def _panel_value(f, a, b, n):
 
 
 def _adaptive_panel(f, a, b, abs_tol, floor_density, config, depth=0):
-    coarse, _ = _panel_value(f, a, b, config.nodes)
+    coarse, _ = _panel_value(f, a, b)
     mid = 0.5 * (a + b)
-    left0, _ = _panel_value(f, a, mid, config.nodes)
-    right0, _ = _panel_value(f, mid, b, config.nodes)
+    left0, _ = _panel_value(f, a, mid)
+    right0, _ = _panel_value(f, mid, b)
     fine = left0 + right0
     err = abs(fine - coarse)
     # floor_density * width is the floating-point noise budget of this panel;
     # residuals below it cannot be reduced by further subdivision.
     if err <= max(abs_tol, floor_density * (b - a), config.rtol * abs(fine)):
         return fine, err
-    if depth >= config.max_depth:
+    if depth >= MAX_DEPTH:
         raise QuadratureError(
             f"panel [{a}, {b}] did not converge (residual {err:.3e})", achieved=err
         )
@@ -97,10 +94,7 @@ def integrate(f, a, b, kinks=(), config=DEFAULT_CONFIG):
     """
     if b <= a:
         return 0.0, 0.0
-    points = [a, b]
-    if config.split_kinks:
-        points += [p for p in kinks if a < p < b]
-    points = sorted(set(points))
+    points = sorted({a, b, *(p for p in kinks if a < p < b)})
     panels = list(zip(points[:-1], points[1:]))
 
     # Coarse pass fixes the tolerance scales; exact zeros stay exact.  The
@@ -109,7 +103,7 @@ def integrate(f, a, b, kinks=(), config=DEFAULT_CONFIG):
     scale = 0.0
     peak = 0.0
     for pa, pb in panels:
-        value, panel_peak = _panel_value(f, pa, pb, config.nodes)
+        value, panel_peak = _panel_value(f, pa, pb)
         scale += abs(value)
         peak = max(peak, panel_peak)
     abs_tol = config.rtol * max(scale, _TINY)

@@ -11,14 +11,14 @@ unrestricted.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .counting import light_cone_weight
 from .errors import FeasibilityError, RegimeError
-from .fluctuations import variance_saturated, variance_squeezed, variance_symmetric
-from .quadrature import DEFAULT_CONFIG, momentum_integral, velocity_kinks
+from .fluctuations import variance_saturated, variance_squeezed, variance_steps
+from .quadrature import DEFAULT_CONFIG, momentum_integral
 from .states import OccupationFunction, Pairing
 
 _LAMBDA_BRACKET = 50.0
@@ -66,41 +66,33 @@ class SaddleSolution:
 # ---------------------------------------------------------------------------
 
 
-def light_cone_charge_bound(tau: float, config=DEFAULT_CONFIG) -> float:
-    """Largest charge deviation transportable in time tau: tau/(2pi) int dk |v_k|.
-
-    Equals 2 tau / pi for the tight-binding band.
-    """
-    value, _ = momentum_integral(lambda k: tau * np.abs(np.sin(k)), config=config)
-    return value
-
-
 def charge_window(tau: float, ell: float, config=DEFAULT_CONFIG) -> float:
-    """Exact saddle domain: |dq| < (1/2) (1/2pi) int dk min(2|v_k| tau, ell)."""
-    kinks = velocity_kinks([ell / (2 * tau)] if tau > 0 else [])
-    value, _ = momentum_integral(
-        lambda k: 0.5 * np.minimum(2 * np.abs(np.sin(k)) * tau, ell), kinks=kinks, config=config
-    )
+    """Half-width of the feasible outcomes one period can reach: a charge
+    step dq is feasible iff |dq| < (1/2) (1/2pi) int dk min(2|v_k| tau, ell).
+
+    Equals 2 tau / pi for 2 tau <= ell, and falls below it beyond, where the
+    weight saturates at ell.  This is the only window: `feasibility`, the
+    solvers and the Gaussian samplers all test the open bound against it.
+    """
+    weight = light_cone_weight(tau, ell)
+    value, _ = momentum_integral(lambda k: 0.5 * weight(k), kinks=weight.kinks, config=config)
     return value
 
 
-def feasibility(dq_seq, tau: float, pairing: Pairing, config=DEFAULT_CONFIG):
+def feasibility(dq_seq, tau: float, ell: float, pairing: Pairing, config=DEFAULT_CONFIG):
     """Per-step flags for a sequence of charge differences.
 
-    Symmetric states: every |dq_i| must fit in the light cone of one period.
-    Squeezed states: the first step always succeeds; the rest obey the same
-    bound (the first projection pins the subsystem charge).
+    Symmetric states: every |dq_i| must lie inside the `charge_window` of one
+    period.  Squeezed states: the first step always succeeds; the rest obey
+    the same bound (the first projection pins the subsystem charge).
     """
     if tau <= 0:
         raise ValueError("feasibility needs tau > 0")
-    bound = light_cone_charge_bound(tau, config=config)
-    flags = []
-    for i, dq in enumerate(dq_seq):
-        if pairing is Pairing.SQUEEZED_PAIR and i == 0:
-            flags.append(True)
-        else:
-            flags.append(abs(dq) <= bound)
-    return tuple(flags)
+    window = charge_window(tau, ell, config=config)
+    return tuple(
+        (pairing is Pairing.SQUEEZED_PAIR and i == 0) or abs(dq) < window
+        for i, dq in enumerate(dq_seq)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -126,22 +118,14 @@ def modified_occupation(n, lam: float, weight: int = 1):
 # ---------------------------------------------------------------------------
 
 
-def _window_integrand(occ, tau, ell):
-    def g(lam, k):
-        weight = np.minimum(2 * np.abs(np.sin(k)) * tau, ell)
-        return weight * (modified_occupation(occ.evaluate(k), lam) - 0.5)
-
-    return g
-
-
 def solve_saddle_symmetric_single(
-    dq, tau, ell, occ: OccupationFunction, mode: str = "exact", config=DEFAULT_CONFIG
+    dq, tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG
 ) -> SaddleSolution:
     """Single-measurement multiplier for a symmetric state.
 
-    Exact mode solves the monotone scalar equation
+    Solves the monotone scalar equation
     ``dq = (1/2pi) int dk min(2|v_k| tau, ell) (n_lam(k) - 1/2)`` by bracketed
-    bisection plus two Newton polish steps; linearized mode returns
+    bisection plus two Newton polish steps.  Its linearisation is
     ``dq / sigma_tau^2``.
     """
     if occ.pairing is not Pairing.SYMMETRIC_PARTICLE_HOLE:
@@ -155,20 +139,25 @@ def solve_saddle_symmetric_single(
     regime = "symmetric-single"
     if window > 0 and abs(dq) > 0.99 * window:
         regime += ";saddle-unreliable"  # approximation degrades near the light cone
-    sigma2 = variance_symmetric(tau, ell, occ, config=config)
-    if mode == "linearized":
-        return SaddleSolution((dq / sigma2,), True, "linearized", regime)
-    if mode != "exact":
-        raise ValueError("mode must be 'exact' or 'linearized'")
     if dq == 0.0:
         return SaddleSolution((0.0,), True, "exact", regime)
 
-    kinks = velocity_kinks([ell / (2 * tau)] if tau > 0 else [])
-    g = _window_integrand(occ, tau, ell)
+    weight = light_cone_weight(tau, ell)
 
     def residual(lam):
-        value, _ = momentum_integral(lambda k: g(lam, k), kinks=kinks, config=config)
+        def integrand(k):
+            return weight(k) * (modified_occupation(occ.evaluate(k), lam) - 0.5)
+
+        value, _ = momentum_integral(integrand, kinks=weight.kinks, config=config)
         return value - dq
+
+    def slope(lam):
+        def integrand(k):
+            nl = modified_occupation(occ.evaluate(k), lam)
+            return weight(k) * nl * (1.0 - nl)
+
+        value, _ = momentum_integral(integrand, kinks=weight.kinks, config=config)
+        return value
 
     lo, hi = -_LAMBDA_BRACKET, _LAMBDA_BRACKET
     flo, fhi = residual(lo), residual(hi)
@@ -186,16 +175,6 @@ def solve_saddle_symmetric_single(
         if hi - lo < 1e-12:
             break
     lam = 0.5 * (lo + hi)
-
-    def slope(lam):
-        def integrand(k):
-            weight = np.minimum(2 * np.abs(np.sin(k)) * tau, ell)
-            nl = modified_occupation(occ.evaluate(k), lam)
-            return weight * nl * (1.0 - nl)
-
-        value, _ = momentum_integral(integrand, kinks=kinks, config=config)
-        return value
-
     for _ in range(2):  # Newton polish to machine accuracy
         d = slope(lam)
         if d <= 0:
@@ -223,16 +202,8 @@ def solve_saddle_symmetric_multi(
                 f"measurement {i + 1}: |dq| = {abs(dq):g} exceeds the window {window:g}",
                 step=i + 1,
             )
-    sigmas = [variance_symmetric(l * tau, ell, occ, config=config) for l in range(m + 1)]
-    suffix = []
-    for l in range(1, m + 1):
-        denom = sigmas[l] - sigmas[l - 1]
-        if denom <= 1e-14:
-            raise RegimeError(
-                f"charge variance saturated between measurements {l - 1} and {l}; "
-                "the linearized multiplier chain is singular"
-            )
-        suffix.append(dq_seq[l - 1] / denom)
+    steps = variance_steps(tau, m, ell, occ, config=config)
+    suffix = [dq / step for dq, step in zip(dq_seq, steps)]
     lambdas = [suffix[l] - (suffix[l + 1] if l + 1 < m else 0.0) for l in range(m)]
     return SaddleSolution(tuple(lambdas), True, "linearized", "symmetric-multi", tuple(suffix))
 
@@ -263,10 +234,10 @@ def solve_saddle_squeezed(
             raise RegimeError("squeezed variance vanished; no fluctuations to measure")
         return SaddleSolution(((q_seq[0] - qbar) / sigma_tau2,), True, "linearized", "squeezed-single")
     dq2 = q_seq[1] - q_seq[0]
-    bound = light_cone_charge_bound(tau, config=config)
-    if abs(dq2) > bound:
+    window = charge_window(tau, ell, config=config)
+    if abs(dq2) >= window:
         raise FeasibilityError(
-            f"second outcome jump |dq| = {abs(dq2):g} exceeds the window {bound:g}", step=2
+            f"second outcome jump |dq| = {abs(dq2):g} exceeds the window {window:g}", step=2
         )
     sigma_2tau2 = variance_squeezed(2 * tau, ell, occ, config=config)
     sigma_inf2 = variance_saturated(ell, occ, config=config)

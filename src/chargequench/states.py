@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -51,8 +51,6 @@ class OccupationFunction:
     pairing: Pairing
     label: str
     mean_density: float | None = None
-    tabulation_points: int = 4096
-    _table: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mean_density is None:
@@ -61,14 +59,6 @@ class OccupationFunction:
 
     def __call__(self, k):
         return self.evaluate(k)
-
-    def tabulate(self, num: int | None = None):
-        """Uniform (k, n(k)) tabulation on [-pi, pi], cached per density."""
-        num = self.tabulation_points if num is None else num
-        if num not in self._table:
-            k = np.linspace(-math.pi, math.pi, num)
-            self._table[num] = (k, np.asarray(self.evaluate(k), dtype=float))
-        return self._table[num]
 
 
 def occupation_neel(k):
@@ -159,12 +149,6 @@ def pair_entropy(n, alpha: float = 1.0):
             term -= np.where(n < 1, (1 - n) * np.log(1 - n), 0.0)
         return term
     return np.log((1 - n) ** alpha + n**alpha) / (1.0 - alpha)
-
-
-def f_alpha(z, n, alpha: float = 1.0):
-    """Charged pair weight ``log[(1-n)^a + n^a e^{iz}]`` (principal branch)."""
-    n = np.asarray(n, dtype=float)
-    return np.log((1 - n) ** alpha + n**alpha * np.exp(1j * np.asarray(z)))
 
 
 # ---------------------------------------------------------------------------

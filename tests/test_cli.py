@@ -1,7 +1,12 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import chargequench
 from chargequench.cli import _COMMANDS, JobSpec, main
 
 # Every subcommand with only the arguments it needs; the defaults do the rest.
@@ -56,3 +61,20 @@ def test_config_hash_depends_only_on_result_inputs():
                   JobSpec("curve", {"ell": 40.0, "q": "20"}, rtol=1e-10, seed=4),
                   JobSpec("sweep", {"ell": 40.0, "q": "20"}, rtol=1e-10, seed=3)):
         assert other.config_hash() != job.config_hash()
+
+
+def test_saddle_flags_outcomes_beyond_the_window(tmp_path, capsys):
+    # for tau > ell/2 the window is below 2 tau / pi: dq = 16 lies between the
+    # two, and is reported infeasible instead of failing the job
+    argv = ["saddle", "--state", "dimer", "--ell", "40", "--tau", "30", "--dq", "14:16"]
+    assert main([*argv, "--out", str(tmp_path), "--format", "json"]) == 0, capsys.readouterr().err
+    rows = json.loads((tmp_path / "saddle.json").read_text())["rows"]
+    assert [(row[0], row[3]) for row in rows] == [(14.0, 1), (15.0, 1), (16.0, 0)]
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(chargequench.__file__))
+    code = "import sys, chargequench.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -104,13 +104,13 @@ def test_symmetric_multi(neel):
     rep = entropy_symmetric_multi(t, tau, ell, [500.0, 500.0], neel.occupation)
     assert all(v == 0.0 for _, v in rep.quantum_corrections)
     assert rep.classical_correction[1] == pytest.approx(-math.log(2 * tau), abs=1e-9)
-    # two measurements = sum of two single-measurement corrections (linearized)
+    # two measurements = sum of two single-measurement corrections (the
+    # multiplier chain is linearised, also for one outcome)
     q1, q2 = 503.0, 507.0
     rep = entropy_symmetric_multi(t, tau, ell, [q1, q2], neel.occupation)
     singles = []
     for dq in (3.0, 4.0):
-        single = entropy_symmetric_single(t, tau, ell, ell / 2 + dq, neel.occupation,
-                                          mode="linearized")
+        single = entropy_symmetric_multi(t, tau, ell, [ell / 2 + dq], neel.occupation)
         singles.append(single.total - single.baseline)
     assert rep.total - rep.baseline == pytest.approx(sum(singles), abs=1e-9)
 

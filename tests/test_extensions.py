@@ -18,7 +18,6 @@ from chargequench.extensions import (
     MEASURE_COMPLEMENT,
     MEASURE_DISJOINT,
     MEASURE_SUBSYSTEM,
-    fcs_sweep,
 )
 from chargequench.quadrature import momentum_integral
 from chargequench.saddle import modified_occupation
@@ -72,8 +71,8 @@ def test_fcs_sweep_continuity(tilted_max):
     # away from any bisection point of [-pi, pi].
     tau, ell = 40.0, 1000.0
     for occ, lo, hi in ((tilted_max.occupation, 0.5, 3.0), (get_state("tilted:1.1").occupation, -3.0, 3.0)):
-        vc = fcs_sweep(np.linspace(lo, hi, 21), tau, ell, occ)
-        vf = fcs_sweep(np.linspace(lo, hi, 41), tau, ell, occ)
+        vc = np.array([fcs_generating_function(b, tau, ell, occ) for b in np.linspace(lo, hi, 21)])
+        vf = np.array([fcs_generating_function(b, tau, ell, occ) for b in np.linspace(lo, hi, 41)])
         assert np.all(np.isfinite(vc)) and np.all(np.isfinite(vf))
         inc_c = np.max(np.abs(np.diff(vc)))
         inc_f = np.max(np.abs(np.diff(vf)))

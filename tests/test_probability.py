@@ -16,16 +16,17 @@ from chargequench.counting import MeasurementProtocol
 from chargequench.entropy import averaged_correction, entropy_symmetric_single, log_n_correction
 from chargequench.errors import FeasibilityError
 from chargequench.probability import (
+    KIND_GAUSSIAN,
     OutcomeDistribution,
     chain_distribution,
     sample_many,
-    symmetric_single_distribution,
 )
+from chargequench.saddle import charge_window
 from chargequench.quadrature import integrate
 
 
 def test_gaussian_pdf_values(neel):
-    dist = symmetric_single_distribution(100.0, 2000.0, neel.occupation)
+    dist = chain_distribution(100.0, 1, 2000.0, neel.occupation)
     sigma2 = 100.0 / math.pi
     assert outcome_pdf(dist, 1000.0) == pytest.approx(1 / math.sqrt(2 * math.pi * sigma2), rel=1e-9)
     assert outcome_pdf(dist, 1000.0 + 100.0) == 0.0  # beyond the light cone
@@ -56,9 +57,9 @@ def test_neel_exact_pdf(neel):
 def test_chain_pdf_factorises(neel):
     dist = chain_distribution(100.0, 2, 4000.0, neel.occupation)
     q1, q2 = 2003.0, 2001.0
-    single = symmetric_single_distribution(100.0, 4000.0, neel.occupation)
+    single = chain_distribution(100.0, 1, 4000.0, neel.occupation)
     p1 = outcome_pdf(single, q1)
-    step = OutcomeDistribution("gaussian-single", q1, (dist.step_variances[1],), 100.0, 4000.0,
+    step = OutcomeDistribution(KIND_GAUSSIAN, q1, (dist.step_variances[1],), 100.0, 4000.0,
                                dist.window)
     p2 = outcome_pdf(step, q2)
     assert outcome_pdf(dist, [q1, q2]) == pytest.approx(p1 * p2, rel=1e-12)
@@ -69,12 +70,11 @@ def test_sampling_determinism_and_chain_consistency(neel):
     seq1, rej1 = sample_outcomes(99, dist)
     seq2, rej2 = sample_outcomes(99, dist)
     assert seq1 == seq2 and rej1 == rej2
-    # m = 1 chain reproduces the single-measurement draws on the same stream
-    single = symmetric_single_distribution(100.0, 4000.0, neel.occupation)
+    # the first step of a longer chain reproduces the m = 1 draws on the same stream
     chain1 = chain_distribution(100.0, 1, 4000.0, neel.occupation)
-    s1, _ = sample_many(321, single, 200)
-    s2, _ = sample_many(321, chain1, 200)
-    assert np.array_equal(s1, s2)
+    s1, _ = sample_many(321, chain1, 200)
+    s3, _ = sample_many(321, dist, 200)
+    assert np.array_equal(s1[:, 0], s3[:, 0])
 
 
 def test_sample_statistics(neel):
@@ -111,7 +111,7 @@ def test_neel_exact_sampling_matches_pmf():
 
 def test_monte_carlo_degenerate_distribution(neel):
     protocol = MeasurementProtocol(ell=2000.0, tau=200.0, m=1, t=200.0)
-    dist = OutcomeDistribution("gaussian-single", 1002.0, (0.0,), 200.0, 2000.0, None)
+    dist = OutcomeDistribution(KIND_GAUSSIAN, 1002.0, (0.0,), 200.0, 2000.0, None)
     mean, stderr = monte_carlo_average(protocol, neel.occupation, 200, 1, distribution=dist)
     rep = entropy_symmetric_single(200.0, 200.0, 2000.0, 1002.0, neel.occupation)
     assert mean == rep.total
@@ -122,13 +122,11 @@ def _expected_quantum_gaussian(state, tau, ell, t, config_sigma2):
     """Deterministic expectation of the Monte-Carlo estimator over the
     rounded-Gaussian outcome law (oracle for the statistical test).
 
-    The support is clipped to the sampler's feasibility window, mirroring
-    its rejection step exactly.
+    The support is clipped to the sampler's open feasibility window,
+    mirroring its rejection step exactly.
     """
-    from chargequench.saddle import light_cone_charge_bound
-
     sigma = math.sqrt(config_sigma2)
-    window = math.floor(light_cone_charge_bound(tau))
+    window = math.ceil(charge_window(tau, ell)) - 1
     reach = min(math.ceil(8 * sigma), window)
     dqs = np.arange(-reach, reach + 1)
     pmf = norm.cdf((dqs + 0.5) / sigma) - norm.cdf((dqs - 0.5) / sigma)
@@ -180,7 +178,7 @@ def test_expectation_approaches_analytic_average(neel, dimer, tau):
 def test_monte_carlo_abort_on_mass_rejection(neel):
     protocol = MeasurementProtocol(ell=100.0, tau=10.0, m=1, t=10.0)
     # absurd distribution: huge variance against a tiny window forces rejections
-    dist = OutcomeDistribution("gaussian-single", 50.0, (4000.0,), 10.0, 100.0, 2.0)
+    dist = OutcomeDistribution(KIND_GAUSSIAN, 50.0, (4000.0,), 10.0, 100.0, 2.0)
     with pytest.raises(FeasibilityError):
         monte_carlo_average(protocol, neel.occupation, 500, 3, distribution=dist)
     with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from chargequench import (
 from chargequench.errors import FeasibilityError, RegimeError
 from chargequench.fluctuations import drude_weight, variance_saturated
 from chargequench.quadrature import momentum_integral
-from chargequench.saddle import charge_window, light_cone_charge_bound
+from chargequench.saddle import charge_window
 from chargequench.states import OccupationFunction, Pairing as P
 
 
@@ -36,13 +36,34 @@ def _random_ph_state(rng):
 
 
 def test_feasibility_examples():
-    assert feasibility([4.0], 5.0, Pairing.SYMMETRIC_PARTICLE_HOLE) == (False,)
-    assert feasibility([0.0], 0.01, Pairing.SYMMETRIC_PARTICLE_HOLE) == (True,)
-    assert feasibility([3.0], 5.0, Pairing.SYMMETRIC_PARTICLE_HOLE) == (True,)
+    ell = 1000.0
+    assert feasibility([4.0], 5.0, ell, Pairing.SYMMETRIC_PARTICLE_HOLE) == (False,)
+    assert feasibility([0.0], 0.01, ell, Pairing.SYMMETRIC_PARTICLE_HOLE) == (True,)
+    assert feasibility([3.0], 5.0, ell, Pairing.SYMMETRIC_PARTICLE_HOLE) == (True,)
     # squeezed: the first measurement is unrestricted, later ones are not
-    assert feasibility([400.0, 0.5], 1.0, Pairing.SQUEEZED_PAIR) == (True, True)
-    assert feasibility([400.0, 4.0], 1.0, Pairing.SQUEEZED_PAIR) == (True, False)
-    assert light_cone_charge_bound(5.0) == pytest.approx(10 / math.pi, abs=1e-10)
+    assert feasibility([400.0, 0.5], 1.0, ell, Pairing.SQUEEZED_PAIR) == (True, True)
+    assert feasibility([400.0, 4.0], 1.0, ell, Pairing.SQUEEZED_PAIR) == (True, False)
+    # the window is 2 tau / pi inside the light cone and smaller beyond it
+    assert charge_window(5.0, ell) == pytest.approx(10 / math.pi, abs=1e-10)
+    assert charge_window(30.0, 40.0) < 60 / math.pi
+
+
+@pytest.mark.parametrize("tau", [6.0, 19.0, 21.0, 30.0])
+def test_feasibility_agrees_with_solver(neel, dimer, tau):
+    # one window for both: the flags say exactly which outcomes the solver takes
+    ell = 40.0
+    window = charge_window(tau, ell)
+    light_cone = 2 * tau / math.pi  # the window of the light cone alone, >= window
+    for occ in (neel.occupation, dimer.occupation):
+        for dq in (0.5 * window, window * (1 - 1e-6), window, window * (1 + 1e-9),
+                   light_cone - 0.01, -0.999 * window, 16.0):
+            (flag,) = feasibility([dq], tau, ell, occ.pairing)
+            try:
+                solve_saddle_symmetric_single(dq, tau, ell, occ)
+            except FeasibilityError:
+                assert not flag, (tau, dq)
+            else:
+                assert flag, (tau, dq)
 
 
 def test_neel_exact_saddle(neel):
@@ -51,8 +72,8 @@ def test_neel_exact_saddle(neel):
         sol = solve_saddle_symmetric_single(dq, tau, ell, neel.occupation)
         assert sol.lambdas[0] == pytest.approx(2 * math.atanh(math.pi * dq / (2 * tau)), abs=1e-10)
         assert sol.mode == "exact"
-    lin = solve_saddle_symmetric_single(1.0, tau, ell, neel.occupation, mode="linearized")
-    assert lin.lambdas[0] == pytest.approx(math.pi / tau, abs=1e-10)
+    # the linearised multiplier dq / sigma_tau^2
+    assert 1.0 / variance_symmetric(tau, ell, neel.occupation) == pytest.approx(math.pi / tau, abs=1e-10)
 
 
 def test_dimer_saddle_satisfies_implicit_equation(dimer):
@@ -61,8 +82,8 @@ def test_dimer_saddle_satisfies_implicit_equation(dimer):
         lam = solve_saddle_symmetric_single(dq, tau, ell, dimer.occupation).lambdas[0]
         implicit = (2 * tau / math.pi) * (math.sinh(lam) - lam) / (math.cosh(lam) - 1.0)
         assert implicit == pytest.approx(dq, abs=1e-9)
-    lin = solve_saddle_symmetric_single(2.0, tau, ell, dimer.occupation, mode="linearized")
-    assert lin.lambdas[0] == pytest.approx(3 * math.pi * 2.0 / (2 * tau), abs=1e-10)
+    lin = 2.0 / variance_symmetric(tau, ell, dimer.occupation)
+    assert lin == pytest.approx(3 * math.pi * 2.0 / (2 * tau), abs=1e-10)
 
 
 def test_exact_vs_linearized_cubic_agreement():

@@ -13,7 +13,7 @@ from chargequench import (
     pair_entropy,
 )
 from chargequench.quadrature import momentum_integral
-from chargequench.states import dimer_state, f_alpha, tilted_state
+from chargequench.states import dimer_state, tilted_state
 
 GRID = np.linspace(-math.pi, math.pi, 1001)
 
@@ -86,14 +86,6 @@ def test_pair_entropy_symmetry_and_maximum():
         assert np.argmax(s) == 100  # maximum at n = 1/2
 
 
-def test_f_alpha_reduces_to_renyi_weight():
-    for n in (0.2, 0.5, 0.9):
-        for alpha in (2.0, 3.0):
-            assert f_alpha(0.0, n, alpha).real == pytest.approx(
-                (1 - alpha) * pair_entropy(n, alpha), abs=1e-14
-            )
-
-
 def test_quench_state_densities():
     assert get_state("neel").mean_subsystem_charge_density == 0.5
     assert get_state("dimer").mean_subsystem_charge_density == 0.5
@@ -119,15 +111,6 @@ def test_registry_and_custom_files(tmp_path):
     np.savetxt(bad, np.column_stack([ks, 0.5 + 0.3 * np.sin(ks)]), delimiter=",")
     with pytest.raises(ValueError):
         get_state(f"custom:{bad}")
-
-
-def test_tabulation_cache():
-    occ = dimer_state()
-    k1, n1 = occ.tabulate()
-    assert len(k1) == 4096
-    k2, n2 = occ.tabulate(128)
-    assert len(k2) == 128
-    assert occ.tabulate() is occ.tabulate()
 
 
 def test_quench_state_from_occupation_matches_registry():
