@@ -108,38 +108,36 @@ def unmeasured_entropy(alpha, t, ell, occ: OccupationFunction, config=DEFAULT_CO
 # ---------------------------------------------------------------------------
 
 
+def _replica_width(n):
+    """n(1-n)(1-2n) log(n/(1-n)), 0 at n in {0, 1}: the alpha-derivative at
+    alpha = 1 of (n(1-n))^alpha / (n^alpha + (1-n)^alpha)^2."""
+    n = np.asarray(n, dtype=float)
+    safe = np.clip(n, 1e-300, 1 - 1e-16)
+    log_ratio = np.where((n > 0) & (n < 1), np.log(safe) - np.log1p(-safe), 0.0)
+    return n * (1 - n) * (1 - 2 * n) * log_ratio
+
+
 def _hessian_general_symmetric(t, tau, ell, occ, config):
     # Diagonal-plus-rank-one Hessian of the multiplier integral, evaluated at
-    # zeroth order in the saddle; the alpha-derivative is taken numerically.
+    # zeroth order in the saddle, with b(alpha) = int chi (n(1-n))^alpha /
+    # (n^alpha + (1-n)^alpha)^2 and its alpha-derivative in closed form.
     protocol = MeasurementProtocol(ell=ell, tau=tau, m=1, t=t)
     chi1_shared = counting_function([ConfigurationClass((1,), FINAL_SHARED, RIGHT_MOVER)], protocol)
     chi1_out = counting_function([ConfigurationClass((1,), FINAL_BOTH_OUT, RIGHT_MOVER)], protocol)
-    kinks = chi1_shared.kinks  # one protocol: both share the breakpoints
 
-    def b_of_alpha(alpha):
+    def integral(chi, density):
         def integrand(k):
-            n = np.asarray(occ.evaluate(k), dtype=float)
-            num = (n * (1 - n)) ** alpha
-            den = ((1 - n) ** alpha + n**alpha) ** 2
-            return chi1_shared(k) * num / den
+            return chi(k) * density(occ.evaluate(k))
 
-        value, _ = momentum_integral(integrand, kinks=kinks, config=config)
+        # one protocol: both chis share the breakpoints
+        value, _ = momentum_integral(integrand, kinks=chi1_shared.kinks, config=config)
         return value
 
-    def a_value():
-        def integrand(k):
-            n = np.asarray(occ.evaluate(k), dtype=float)
-            return chi1_out(k) * n * (1 - n)
-
-        value, _ = momentum_integral(integrand, kinks=kinks, config=config)
-        return value
-
-    a1 = a_value()
-    b1 = b_of_alpha(1.0)
+    a1 = integral(chi1_out, lambda n: n * (1 - n))
+    b1 = integral(chi1_shared, lambda n: n * (1 - n))
     if a1 <= 1e-14:
         return None
-    h = 1e-4
-    db = (b_of_alpha(1.0 + h) - b_of_alpha(1.0 - h)) / (2 * h)
+    db = integral(chi1_shared, _replica_width)
     value = -0.5 * math.log(2 * math.pi) + 0.5 * (
         math.log(a1 / (a1 + b1)) + b1 / (a1 + b1) + db / (a1 + b1)
     )
@@ -387,12 +385,6 @@ def averaged_correction(protocol: MeasurementProtocol, occ: OccupationFunction, 
         raise RegimeError("analytic outcome averages are available for symmetric states")
     t, tau, ell, m = protocol.t, protocol.tau, protocol.ell, protocol.m
 
-    def config_integrand(k):
-        n = np.asarray(occ.evaluate(k), dtype=float)
-        safe = np.clip(n, 1e-300, 1 - 1e-16)
-        log_ratio = np.where((n > 0) & (n < 1), np.log1p(-safe) - np.log(safe), 0.0)
-        return n * (1 - n) * (1 - 2 * n) * log_ratio
-
     classical, tag = log_n_correction(t, tau, ell, occ, m=m, config=config)
     if classical is None:
         raise RegimeError(f"no log-prefactor convention for this regime ({tag})")
@@ -404,22 +396,22 @@ def averaged_correction(protocol: MeasurementProtocol, occ: OccupationFunction, 
         (chi1,) = shared_suffix_chis(protocol)
 
         def integrand(k):
-            return chi1(k) * config_integrand(k)
+            return chi1(k) * _replica_width(occ.evaluate(k))
 
         integral, _ = momentum_integral(integrand, kinks=chi1.kinks, config=config)
         variance_term = -(sigma_t - sigma_tmtau) / (2 * sigma_tau)
-        config_term = integral / (2 * sigma_tau)
+        config_term = -integral / (2 * sigma_tau)
     else:
         if t > ell / 2:
             raise RegimeError("multi-measurement averages are implemented for t <= ell/2")
         d = drude_weight(occ, config=config)
 
         def integrand(k):
-            return np.abs(np.sin(k)) * config_integrand(k)
+            return np.abs(np.sin(k)) * _replica_width(occ.evaluate(k))
 
         integral, _ = momentum_integral(integrand, config=config)
         variance_term = -0.5 * m
-        config_term = m * integral / (2 * d)
+        config_term = -m * integral / (2 * d)
 
     value = classical + variance_term + config_term
     breakdown = {

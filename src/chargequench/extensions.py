@@ -55,10 +55,15 @@ class GeometrySpec:
 def _log_branch_symmetric(beta, n):
     # log(n e^{i b/2} + (1-n) e^{-i b/2}) = log(cos(b/2) + i (2n-1) sin(b/2));
     # the real part of the argument is >= 0 on |beta| <= pi so the principal
-    # branch is continuous along sweeps.  |z|^2 = 1 - 4n(1-n) sin^2(b/2):
-    # evaluated with log1p to keep relative accuracy at small beta.
+    # branch is continuous along sweeps.  |z|^2 = 1 - 4n(1-n) sin^2(b/2) is
+    # evaluated with log1p to keep relative accuracy at small beta, and as
+    # cos^2(b/2) + ((2n-1) sin(b/2))^2 beyond pi/2, where the log1p argument
+    # rounds to -1 at n = 1/2 and beta = +-pi although |z| > 0 there.
     half = beta / 2.0
-    re = 0.5 * np.log1p(-4.0 * n * (1.0 - n) * np.sin(half) ** 2)
+    if abs(beta) <= math.pi / 2:
+        re = 0.5 * np.log1p(-4.0 * n * (1.0 - n) * np.sin(half) ** 2)
+    else:
+        re = 0.5 * np.log(math.cos(half) ** 2 + ((2 * n - 1) * math.sin(half)) ** 2)
     im = np.arctan2((2 * n - 1) * np.sin(half), np.cos(half))
     return re + 1j * im
 
@@ -99,6 +104,8 @@ def fcs_generating_function(
     if beta == 0.0:
         return 0.0 + 0.0j
 
+    # at |beta| = pi the pair terms have log singularities where n = 1/2
+    kinks = _half_filling_momenta(occ)
     if occ.pairing is Pairing.SYMMETRIC_PARTICLE_HOLE:
 
         def real_part(k):
@@ -107,8 +114,8 @@ def fcs_generating_function(
         def imag_part(k):
             return np.imag(np.abs(np.sin(k)) * _log_branch_symmetric(beta, occ.evaluate(k)))
 
-        re, _ = momentum_integral(real_part, config=config)
-        im, _ = momentum_integral(imag_part, config=config)
+        re, _ = momentum_integral(real_part, kinks=kinks, config=config)
+        im, _ = momentum_integral(imag_part, kinks=kinks, config=config)
         return 1j * beta * ell / 2.0 + 2.0 * tau * (re + 1j * im)
 
     def integrand(k, part):
@@ -120,7 +127,6 @@ def fcs_generating_function(
         )
         return np.real(value) if part == "re" else np.imag(value)
 
-    kinks = _half_filling_momenta(occ)
     re, _ = momentum_integral(lambda k: integrand(k, "re"), kinks=kinks, config=config)
     im, _ = momentum_integral(lambda k: integrand(k, "im"), kinks=kinks, config=config)
     return re + 1j * im

@@ -113,20 +113,6 @@ def neel_entropy_exact(
     )
 
 
-def renyi_via_moment_ratio(t, tau, dq, ell, alpha: int, config=DEFAULT_CONFIG) -> float:
-    """Renyi entropy built from the replica moment ratio in log space.
-
-    The folded numerator integral equals the denominator integral, so the
-    ratio is ``M^{1-alpha}`` and the Renyi entropy is alpha independent;
-    exercising the construction at alpha = 2, 3 checks that plumbing.
-    """
-    if alpha < 2:
-        raise ValueError("use neel_entropy_exact for the replica limit")
-    log_m = -_log_measurement_factor(dq, tau)  # log of the moment itself
-    log_ratio = (1.0 - alpha) * log_m  # folded numerator equals the denominator
-    return _baseline(t, ell, config) + log_ratio / (1.0 - alpha)
-
-
 def stirling_expansion(dq: float, tau: float):
     """Large-tau expansion of the exact measurement factor.
 

@@ -1,12 +1,15 @@
-"""Adaptive Gauss-Legendre quadrature for piecewise-smooth integrands.
+"""Gauss-Legendre quadrature with one global error budget.
 
 All momentum integrals in this library are of the form
 ``(1/2pi) * int_{-pi}^{pi} dk g(|sin k|, n(k))`` where ``g`` is smooth except
 for kinks at a known, finite set of critical velocities (where a ballistic
-light cone crosses the subsystem size).  Splitting the domain at those kinks
-restores spectral convergence of fixed-order Gauss-Legendre panels; panels
-that still disagree after bisection are subdivided until the requested
-tolerance is met.
+light cone crosses the subsystem size).  The kinks become panel edges; each
+panel carries its coarse rule and the sum of its two half rules, whose
+difference is the panel's error.  While the summed error exceeds the budget,
+the panels with the largest errors are halved (as in QUADPACK ``qags``), so
+that a log singularity, an unmarked jump or a narrow feature is refined where
+it sits instead of being asked to converge on its own share of the tolerance.
+The total number of panels is bounded.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ import numpy as np
 
 from .errors import QuadratureError
 
-_TINY = 1e-300
-NODES = 24  # Gauss-Legendre nodes per panel
-MAX_DEPTH = 40  # bisections of one panel before QuadratureError
+NODES = 24  # Gauss-Legendre nodes per rule
+MAX_PANELS = 2000  # panels of one integral before QuadratureError
+_NOISE = 30.0 * np.finfo(float).eps  # rounding noise per unit term size and width
 
 
 @dataclass(frozen=True)
@@ -44,80 +47,71 @@ def _gauss_legendre():
     return np.polynomial.legendre.leggauss(NODES)
 
 
-def _panel_value(f, a, b):
-    """(panel integral, largest term size at the nodes).
-
-    ``f`` returns either its values or a pair ``(values, sizes)`` where
-    ``sizes`` bounds the terms whose sum (or difference) each value is.
-    """
+def _rules(f, lo, hi):
+    """(rule on each panel [lo_i, hi_i], largest term size), one call of ``f``."""
     x, w = _gauss_legendre()
-    y = 0.5 * (b - a) * x + 0.5 * (a + b)
-    out = f(y)
+    half = 0.5 * (hi - lo)
+    nodes = half[:, None] * x + (0.5 * (lo + hi))[:, None]
+    out = f(nodes.ravel())
     values, sizes = out if isinstance(out, tuple) else (out, out)
-    values = np.asarray(values, dtype=float)
-    return 0.5 * (b - a) * float(np.dot(w, values)), float(np.max(np.abs(sizes)))
-
-
-def _adaptive_panel(f, a, b, abs_tol, floor_density, config, depth=0):
-    coarse, _ = _panel_value(f, a, b)
-    mid = 0.5 * (a + b)
-    left0, _ = _panel_value(f, a, mid)
-    right0, _ = _panel_value(f, mid, b)
-    fine = left0 + right0
-    err = abs(fine - coarse)
-    # floor_density * width is the floating-point noise budget of this panel;
-    # residuals below it cannot be reduced by further subdivision.
-    if err <= max(abs_tol, floor_density * (b - a), config.rtol * abs(fine)):
-        return fine, err
-    if depth >= MAX_DEPTH:
-        raise QuadratureError(
-            f"panel [{a}, {b}] did not converge (residual {err:.3e})", achieved=err
-        )
-    left, el = _adaptive_panel(f, a, mid, 0.5 * abs_tol, floor_density, config, depth + 1)
-    right, er = _adaptive_panel(f, mid, b, 0.5 * abs_tol, floor_density, config, depth + 1)
-    return left + right, el + er
+    values = np.asarray(values, dtype=float).reshape(nodes.shape)
+    rules = np.array([h * float(np.dot(w, row)) for h, row in zip(half, values)])
+    return rules, float(np.max(np.abs(sizes)))
 
 
 def integrate(f, a, b, kinks=(), config=DEFAULT_CONFIG):
     """Integrate vectorised ``f`` over [a, b].
 
     Returns ``(value, error_estimate)``.  ``kinks`` are interior points where
-    the integrand is continuous but not smooth; they become panel boundaries.
+    the integrand is continuous but not smooth; they become panel edges.
 
-    A panel is accepted once its residual falls below the relative tolerance
-    or below the floating-point noise floor ``30 eps peak`` per unit width,
-    where ``peak`` is the largest term size seen on the coarse pass.  An
-    integrand whose value is a cancelling sum of larger terms returns
-    ``(values, sizes)`` with ``sizes`` the magnitude of those terms, so that
-    the floor matches the rounding noise of the sum rather than the (much
-    smaller) size of the sum itself.
+    The integral is accepted once the summed panel error falls below
+    ``max(rtol * sum |panel|, 30 eps peak (b - a))``, where ``peak`` is the
+    largest term size seen at any node.  An integrand whose value is a
+    cancelling sum of larger terms returns ``(values, sizes)`` with ``sizes``
+    the magnitude of those terms, so that the floor matches the rounding
+    noise of the sum rather than the (much smaller) size of the sum itself.
+    Otherwise the fewest worst panels whose errors cover the excess over half
+    the budget are halved, in one call of ``f``; a panel's half rules become
+    its children's coarse rules.  Exact zeros stay exact.
     """
     if b <= a:
         return 0.0, 0.0
-    points = sorted({a, b, *(p for p in kinks if a < p < b)})
-    panels = list(zip(points[:-1], points[1:]))
-
-    # Coarse pass fixes the tolerance scales; exact zeros stay exact.  The
-    # noise floor keys on the pointwise term sizes so that panels whose
-    # residual is floating-point cancellation noise are accepted.
-    scale = 0.0
-    peak = 0.0
-    for pa, pb in panels:
-        value, panel_peak = _panel_value(f, pa, pb)
-        scale += abs(value)
-        peak = max(peak, panel_peak)
-    abs_tol = config.rtol * max(scale, _TINY)
-    floor_density = 30.0 * np.finfo(float).eps * peak
-
+    points = np.array(sorted({a, b, *(p for p in kinks if a < p < b)}), dtype=float)
+    lo, mid, hi = points[:-1], 0.5 * (points[:-1] + points[1:]), points[1:]
+    rules, peak = _rules(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
+    panels = np.vstack([lo, hi, *np.split(rules, 3)])
+    while True:
+        lo, hi, coarse, left, right = panels
+        fine = left + right
+        errs = np.abs(fine - coarse)
+        err = float(np.sum(errs))
+        if not math.isfinite(err):
+            i = np.argmax(~np.isfinite(errs))
+            raise QuadratureError(f"panel [{lo[i]}, {hi[i]}] gives a non-finite value", achieved=err)
+        budget = max(config.rtol * float(np.sum(np.abs(fine))), _NOISE * peak * (b - a))
+        if err <= budget:
+            break
+        order = np.argsort(errs)[::-1]
+        count = int(np.searchsorted(np.cumsum(errs[order]), err - 0.5 * budget)) + 1
+        if panels.shape[1] + count > MAX_PANELS:
+            i = order[0]
+            raise QuadratureError(
+                f"panel [{lo[i]}, {hi[i]}] did not converge (residual {errs[i]:.3e}; error "
+                f"{err:.3e} over budget {budget:.3e} at {panels.shape[1]} panels)", achieved=err)
+        split = order[:count]
+        s_lo, s_hi = lo[split], hi[split]
+        s_mid = 0.5 * (s_lo + s_hi)
+        q_lo, q_hi = 0.5 * (s_lo + s_mid), 0.5 * (s_mid + s_hi)
+        quarters, batch_peak = _rules(f, np.concatenate([s_lo, q_lo, s_mid, q_hi]),
+                                      np.concatenate([q_lo, s_mid, q_hi, s_hi]))
+        peak = max(peak, batch_peak)
+        ll, lr, rl, rr = np.split(quarters, 4)
+        children = [[s_lo, s_mid, left[split], ll, lr], [s_mid, s_hi, right[split], rl, rr]]
+        panels = np.hstack([np.delete(panels, split, axis=1), *children])
     total = 0.0
-    err = 0.0
-    width = b - a
-    for pa, pb in panels:
-        value, perr = _adaptive_panel(
-            f, pa, pb, abs_tol * (pb - pa) / width, floor_density, config
-        )
+    for value in fine[np.argsort(lo)].tolist():
         total += value
-        err += perr
     return total, err
 
 

@@ -11,6 +11,7 @@ unrestricted.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,9 +153,14 @@ def solve_saddle_symmetric_single(
         return value - dq
 
     def slope(lam):
+        # n_lam (1 - n_lam) = n (1-n) e^{-|lam|} / (a + b e^{-|lam|})^2 with
+        # (a, b) = (n, 1-n) for lam >= 0 (swapped below): no 1 - n_lam cancels
+        decay = math.exp(-abs(lam))
+
         def integrand(k):
-            nl = modified_occupation(occ.evaluate(k), lam)
-            return weight(k) * nl * (1.0 - nl)
+            n = np.asarray(occ.evaluate(k), dtype=float)
+            a, b = (n, 1.0 - n) if lam >= 0 else (1.0 - n, n)
+            return weight(k) * n * (1.0 - n) * decay / (a + b * decay) ** 2
 
         value, _ = momentum_integral(integrand, kinks=weight.kinks, config=config)
         return value

@@ -72,6 +72,20 @@ def test_saddle_flags_outcomes_beyond_the_window(tmp_path, capsys):
     assert [(row[0], row[3]) for row in rows] == [(14.0, 1), (15.0, 1), (16.0, 0)]
 
 
+@pytest.mark.parametrize("argv", [
+    # lambda about 19.6, 1.7e-7 inside the window 3.81971863
+    ["saddle", "--state", "dimer", "--ell", "40", "--tau", "6", "--dq", "3.8197182"],
+    *(["fcs", "--state", state, "--ell", "40", "--tau", "6",
+       f"--beta-grid={-math.pi!r}:{math.pi!r}:21"] for state in ("dimer", "neel")),
+], ids=["saddle-edge", "fcs-full-dimer", "fcs-full-neel"])
+def test_jobs_at_the_edge_of_their_domain(argv, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path), "--format", "json"]) == 0, capsys.readouterr().err
+    (path,) = tmp_path.iterdir()
+    values = [v for row in json.loads(path.read_text())["rows"] for v in row
+              if isinstance(v, float)]
+    assert values and all(math.isfinite(v) for v in values)
+
+
 def test_cli_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(chargequench.__file__))
     code = "import sys, chargequench.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"

@@ -13,9 +13,12 @@ from chargequench import (
     unmeasured_entropy,
 )
 from chargequench.counting import (
+    FINAL_BOTH_OUT,
     FINAL_SHARED,
+    RIGHT_MOVER,
     ConfigurationClass,
     MeasurementProtocol,
+    counting_function,
     counting_measure,
 )
 from chargequench.entropy import LOGN_UNKNOWN
@@ -224,6 +227,32 @@ def test_log_n_regimes(neel, tilted_max):
     value, tag = log_n_correction(700.0, 600.0, 200.0, neel.occupation)
     assert tag == "symmetric-hessian-numeric"
     assert value is not None and math.isfinite(value)
+
+
+def test_hessian_replica_derivative_matches_central_difference(dimer):
+    # b(alpha) = int chi (n(1-n))^alpha / (n^alpha + (1-n)^alpha)^2; the
+    # library takes b'(1) in closed form, the oracle by central difference
+    t, tau, ell = 700.0, 600.0, 200.0
+    occ = dimer.occupation
+    protocol = MeasurementProtocol(ell=ell, tau=tau, m=1, t=t)
+    shared = counting_function([ConfigurationClass((1,), FINAL_SHARED, RIGHT_MOVER)], protocol)
+    out = counting_function([ConfigurationClass((1,), FINAL_BOTH_OUT, RIGHT_MOVER)], protocol)
+
+    def integral(chi, density):
+        return momentum_integral(lambda k: chi(k) * density(occ.evaluate(k)), kinks=chi.kinks)[0]
+
+    def b_of_alpha(alpha):
+        return integral(shared, lambda n: (n * (1 - n)) ** alpha / ((1 - n) ** alpha + n**alpha) ** 2)
+
+    h = 1e-4
+    db = (b_of_alpha(1.0 + h) - b_of_alpha(1.0 - h)) / (2 * h)
+    a1, b1 = integral(out, lambda n: n * (1 - n)), b_of_alpha(1.0)
+    expected = -0.5 * math.log(2 * math.pi) + 0.5 * (
+        math.log(a1 / (a1 + b1)) + b1 / (a1 + b1) + db / (a1 + b1)
+    )
+    value, tag = log_n_correction(t, tau, ell, occ)
+    assert tag == "symmetric-hessian-numeric"
+    assert value == pytest.approx(expected, abs=1e-8)
 
 
 def test_averaged_correction(neel, dimer):

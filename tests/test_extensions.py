@@ -53,6 +53,21 @@ def test_fcs_second_cumulant_matches_variance(neel, dimer, tilted_max):
     )
 
 
+def test_fcs_full_window_symmetric(neel, dimer):
+    # exact on the float grid, the ends +-math.pi included: log cos(pi/2) is
+    # log 6.1e-17 (F = -285.19 at tau = 6), not -inf; the dimer's log|cos k|
+    # singularities at n = 1/2 integrate to -4 tau / pi
+    tau, ell = 6.0, 40.0
+    for beta in np.linspace(-math.pi, math.pi, 21):
+        expected = 1j * beta * ell / 2 + (4 * tau / math.pi) * math.log(math.cos(beta / 2))
+        assert fcs_generating_function(beta, tau, ell, neel.occupation) == pytest.approx(
+            expected, rel=1e-12, abs=1e-12
+        )
+    for beta in (-math.pi, math.pi):
+        value = fcs_generating_function(beta, tau, ell, dimer.occupation)
+        assert value.real == pytest.approx(-4 * tau / math.pi, rel=1e-9)
+
+
 def test_fcs_reality_and_regime(dimer, tilted_max):
     for occ in (dimer.occupation, tilted_max.occupation):
         for beta in (0.3, 1.2, 2.9):

@@ -15,7 +15,6 @@ from chargequench.errors import RegimeError
 from chargequench.neel_exact import (
     neel_exact_pdf_logweight,
     neel_saddle_lambda,
-    renyi_via_moment_ratio,
 )
 from chargequench.states import pair_entropy
 
@@ -95,15 +94,6 @@ def test_stirling_expansion():
     )
     with pytest.warns(UserWarning):
         stirling_expansion(2.0, 5.0)
-
-
-def test_alpha_independence():
-    tau, ell = 120.0, 5000.0
-    base = neel_entropy_exact(tau, tau, [4.0], ell).entropy
-    for alpha in (2, 3):
-        assert renyi_via_moment_ratio(tau, tau, 4.0, ell, alpha) == pytest.approx(
-            base, abs=1e-9
-        )
 
 
 def test_domain_boundary_matches_feasibility():

@@ -55,7 +55,7 @@ def test_feasibility_agrees_with_solver(neel, dimer, tau):
     window = charge_window(tau, ell)
     light_cone = 2 * tau / math.pi  # the window of the light cone alone, >= window
     for occ in (neel.occupation, dimer.occupation):
-        for dq in (0.5 * window, window * (1 - 1e-6), window, window * (1 + 1e-9),
+        for dq in (0.5 * window, window * (1 - 1e-7), window, window * (1 + 1e-9),
                    light_cone - 0.01, -0.999 * window, 16.0):
             (flag,) = feasibility([dq], tau, ell, occ.pairing)
             try:
