@@ -344,16 +344,19 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
-def _load_config_file(path):
-    out = {}
+def _config_file_flags(path):
+    """`key = value` lines of a config file as `--key=value` flags (a bare
+    `key` line as `--key`); `#` starts a comment, `_` in a key reads as `-`."""
+    flags = []
     with open(path) as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
-    return out
+            key, eq, value = line.partition("=")
+            flag = "--" + key.strip().replace("_", "-")
+            flags.append(f"{flag}={value.strip()}" if eq else flag)
+    return flags
 
 
 def _build_parser():
@@ -402,23 +405,20 @@ def _build_parser():
 
 
 def build_job(argv) -> JobSpec:
+    """Parse a command line.  A `--config` file's flags are parsed by the same
+    parser, placed before the command-line flags so that those win."""
     parser = _build_parser()
     args = vars(parser.parse_args(argv))
+    if args["config"]:
+        at = argv.index(args["subcommand"]) + 1
+        args = vars(parser.parse_args([*argv[:at], *_config_file_flags(args["config"]), *argv[at:]]))
     subcommand = args.pop("subcommand")
     rtol = args.pop("rtol")
     seed = args.pop("seed")
     out_dir = args.pop("out")
     fmt = args.pop("format")
-    config_path = args.pop("config")
+    args.pop("config")
     params = {k: v for k, v in args.items() if v is not None and v is not False}
-    if config_path:
-        overrides = _load_config_file(config_path)
-        for key, value in overrides.items():
-            if key not in params:  # flags beat the config file
-                try:
-                    params[key] = float(value) if key not in ("state", "q", "dq", "t_grid", "q_grid", "outcomes", "geometry", "beta_grid") else value
-                except ValueError:
-                    params[key] = value
     return JobSpec(
         subcommand=subcommand, params=params, rtol=rtol, seed=seed,
         out_dir=out_dir, fmt=fmt,

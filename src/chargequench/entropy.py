@@ -30,7 +30,6 @@ from .counting import (
 from .errors import RegimeError
 from .fluctuations import (
     asymmetry,
-    drude_weight,
     variance_squeezed,
     variance_steps,
     variance_symmetric,
@@ -158,7 +157,7 @@ def log_n_correction(
     long times.  Regimes with no known convention return (None, flag).
     """
     if occ.pairing is Pairing.SQUEEZED_PAIR:
-        return _log_n_squeezed(t, tau, ell, occ, config)
+        return _log_n_squeezed(t, tau, ell, occ, m, config)
     try:
         deltas = variance_steps(tau, m, ell, occ, config=config)
     except RegimeError:
@@ -185,15 +184,17 @@ def log_n_correction(
     return None, LOGN_UNKNOWN
 
 
-def _log_n_squeezed(t, tau, ell, occ, config):
-    if abs(t - tau) < 1e-12:
+def _log_n_squeezed(t, tau, ell, occ, m, config):
+    # m = 1 has closed forms at the measurement and inside the light cone
+    # of a tau = 0 measurement; every m is washed out from 10 ell on
+    if m == 1 and abs(t - tau) < 1e-12:
         sigma2 = variance_squeezed(tau, ell, occ, config=config)
         delta_s = asymmetry(tau, ell, occ, config=config)
         if not math.isfinite(delta_s) or sigma2 <= 0:
             return None, LOGN_UNKNOWN
         s_num = 0.5 * math.log(2 * math.pi * math.e * sigma2)
         return delta_s - s_num, "squeezed-at-measurement"
-    if tau == 0 and t <= ell / 2 + 1e-12:
+    if m == 1 and tau == 0 and t <= ell / 2 + 1e-12:
         return 0.0, "squeezed-tau0-light-cone"
     if t >= _WASHOUT_RATIO * ell:
         return 0.0, "squeezed-long-time-washout"
@@ -205,25 +206,24 @@ def _log_n_squeezed(t, tau, ell, occ, config):
 # ---------------------------------------------------------------------------
 
 
-def _quantum_integral(chi, lam, weight, occ, config):
-    """(1/2pi) int dk chi(k) (s[n tilted by weight*lam] - s[n]), chi a
+def _quantum_integral(chi, tilt, occ, config):
+    """(1/2pi) int dk chi(k) (s[n tilted by tilt] - s[n]), chi a
     `CountingFunction` whose kinks split the quadrature panels.
 
     The entropy difference is formed without subtracting two O(1)
-    entropies: with x = weight*lam and n_x the tilted occupation,
+    entropies: with x = tilt and n_x the tilted occupation,
 
         s[n_x] - s[n] = log1p(n expm1(x)) - n_x x - (n_x - n) log(n/(1-n)),
         n_x - n = n (1-n) expm1(x) / (1 + n expm1(x)),
 
-    so it keeps full relative accuracy as lam -> 0 and is exactly 0 at
-    lam = 0.  The three terms are O(lam) while their sum is O(lam^2) (at
+    so it keeps full relative accuracy as x -> 0 and is exactly 0 at
+    x = 0.  The three terms are O(x) while their sum is O(x^2) (at
     n = 1/2), so the integrand reports chi times their summed magnitude as
     the term size that sets the quadrature noise floor (see `integrate`).
     """
-    if lam == 0.0:
+    if tilt == 0.0:
         return 0.0, 0.0
-    x = weight * lam
-    growth = math.expm1(x)
+    growth = math.expm1(tilt)
 
     def integrand(k):
         n = np.clip(occ.evaluate(k), 0.0, 1.0)
@@ -232,7 +232,7 @@ def _quantum_integral(chi, lam, weight, occ, config):
             # n in {0, 1} cannot move (shift == 0): the term is 0, not 0 * inf
             bias = np.where(shift == 0.0, 0.0, shift * (np.log(n) - np.log1p(-n)))
         log_term = np.log1p(n * growth)
-        tilt_term = (n + shift) * x
+        tilt_term = (n + shift) * tilt
         chi_k = chi(k)
         return (
             chi_k * (log_term - tilt_term - bias),
@@ -240,6 +240,42 @@ def _quantum_integral(chi, lam, weight, occ, config):
         )
 
     return momentum_integral(integrand, kinks=chi.kinks, config=config)
+
+
+def _measured_report(protocol, occ, terms, sol, classical, config, **diagnostics):
+    """The report of one measured state: the unmeasured baseline at
+    (protocol.t, protocol.ell), one quantum correction per
+    ``(label, chi, tilt)`` term and the classical ``(value, tag)``.
+
+    Every report kind assembles here, so its diagnostics always name the
+    saddle, the summed quadrature error of the quantum terms and the
+    log-prefactor regime.
+    """
+    baseline = unmeasured_entropy(1.0, protocol.t, protocol.ell, occ, config=config)
+    quantum = []
+    error = 0.0
+    for label, chi, tilt in terms:
+        value, err = _quantum_integral(chi, tilt, occ, config)
+        quantum.append((label, value))
+        error += err
+    value, tag = classical
+    diagnostics.update(
+        saddle=json.loads(sol.to_json()), quantum_quadrature_error=error, logN_regime=tag
+    )
+    return EntropyReport.assemble(baseline, quantum, tag, value, diagnostics)
+
+
+def _squeezed_terms(protocol, lambdas, member_counts):
+    """One term per shared class of a squeezed state, keyed by the members
+    inside A at each measurement: its tilt is ``sum_i counts_i lambda_i``."""
+    return [
+        (
+            f"chi[{''.join(map(str, counts))}]_AAbar",
+            counting_function([ConfigurationClass(counts, FINAL_SHARED, RIGHT_MOVER)], protocol),
+            sum(c * lam for c, lam in zip(counts, lambdas)),
+        )
+        for counts in member_counts
+    ]
 
 
 def entropy_symmetric_single(
@@ -252,20 +288,12 @@ def entropy_symmetric_single(
     """
     if t < tau:
         raise ValueError("final time precedes the measurement")
-    dq = q - ell / 2.0
-    sol = solve_saddle_symmetric_single(dq, tau, ell, occ, config=config)
-    lam = sol.lambdas[0]
-    baseline = unmeasured_entropy(1.0, t, ell, occ, config=config)
-    (chi1,) = shared_suffix_chis(MeasurementProtocol(ell=ell, tau=tau, m=1, t=t))
-    quantum, qerr = _quantum_integral(chi1, lam, 1, occ, config)
-    classical, tag = log_n_correction(t, tau, ell, occ, m=1, config=config)
-    diag = {
-        "saddle": json.loads(sol.to_json()),
-        "quantum_quadrature_error": qerr,
-        "logN_regime": tag,
-    }
-    return EntropyReport.assemble(
-        baseline, [("chi[1]_AAbar", quantum)], tag, classical, diag
+    sol = solve_saddle_symmetric_single(q - ell / 2.0, tau, ell, occ, config=config)
+    protocol = MeasurementProtocol(ell=ell, tau=tau, m=1, t=t)
+    (chi1,) = shared_suffix_chis(protocol)
+    return _measured_report(
+        protocol, occ, [("chi[1]_AAbar", chi1, sol.lambdas[0])], sol,
+        log_n_correction(t, tau, ell, occ, m=1, config=config), config,
     )
 
 
@@ -276,28 +304,19 @@ def entropy_symmetric_multi(
 
     Each measurement contributes its own log-prefactor and an entropy-
     difference term weighted by the pairs first shared at that measurement
-    and still shared at t.
+    and still shared at t, tilted by the suffix sum of the multipliers.
     """
     m = len(q_seq)
     protocol = MeasurementProtocol(ell=ell, tau=tau, m=m, t=t, outcomes=tuple(q_seq))
     dq_seq = [q_seq[0] - ell / 2.0] + [q_seq[i] - q_seq[i - 1] for i in range(1, m)]
     sol = solve_saddle_symmetric_multi(dq_seq, tau, ell, occ, config=config)
-    suffix = sol.suffix_sums()
-    baseline = unmeasured_entropy(1.0, t, ell, occ, config=config)
-
-    quantum = []
-    qerrs = []
-    for l, chi_l in enumerate(shared_suffix_chis(protocol), 1):
-        value, err = _quantum_integral(chi_l, suffix[l - 1], 1, occ, config)
-        quantum.append((f"chi[1,{l}]_AAbar", value))
-        qerrs.append(err)
-    classical, tag = log_n_correction(t, tau, ell, occ, m=m, config=config)
-    diag = {
-        "saddle": json.loads(sol.to_json()),
-        "quantum_quadrature_error": sum(qerrs),
-        "logN_regime": tag,
-    }
-    return EntropyReport.assemble(baseline, quantum, tag, classical, diag)
+    terms = [
+        (f"chi[1,{l}]_AAbar", chi_l, tilt)
+        for l, (chi_l, tilt) in enumerate(zip(shared_suffix_chis(protocol), sol.suffix), 1)
+    ]
+    return _measured_report(
+        protocol, occ, terms, sol, log_n_correction(t, tau, ell, occ, m=m, config=config), config
+    )
 
 
 def entropy_squeezed_single(
@@ -311,21 +330,10 @@ def entropy_squeezed_single(
     if t < tau:
         raise ValueError("final time precedes the measurement")
     sol = solve_saddle_squeezed((q,), tau, ell, occ, config=config)
-    lam = sol.lambdas[0]
-    baseline = unmeasured_entropy(1.0, t, ell, occ, config=config)
     protocol = MeasurementProtocol(ell=ell, tau=tau, m=1, t=t)
-    (chi1,) = shared_suffix_chis(protocol)
-    chi2 = counting_function([ConfigurationClass((2,), FINAL_SHARED, RIGHT_MOVER)], protocol)
-    q1, e1 = _quantum_integral(chi1, lam, 1, occ, config)
-    q2, e2 = _quantum_integral(chi2, lam, 2, occ, config)
-    classical, tag = log_n_correction(t, tau, ell, occ, config=config)
-    diag = {
-        "saddle": json.loads(sol.to_json()),
-        "quantum_quadrature_error": e1 + e2,
-        "logN_regime": tag,
-    }
-    return EntropyReport.assemble(
-        baseline, [("chi[1]_AAbar", q1), ("chi[2]_AAbar", q2)], tag, classical, diag
+    return _measured_report(
+        protocol, occ, _squeezed_terms(protocol, sol.lambdas, ((1,), (2,))), sol,
+        log_n_correction(t, tau, ell, occ, m=1, config=config), config,
     )
 
 
@@ -339,32 +347,10 @@ def entropy_squeezed_double(
     """
     protocol = MeasurementProtocol(ell=ell, tau=tau, m=2, t=t, outcomes=(q1, q2))
     sol = solve_saddle_squeezed((q1, q2), tau, ell, occ, config=config)
-    l1, l2 = sol.lambdas
-    baseline = unmeasured_entropy(1.0, t, ell, occ, config=config)
-
-    classes = {
-        "chi[22]_AAbar": ((2, 2), 2 * l1 + 2 * l2),
-        "chi[21]_AAbar": ((2, 1), 2 * l1 + l2),
-        "chi[11]_AAbar": ((1, 1), l1 + l2),
-        "chi[01]_AAbar": ((0, 1), l2),
-    }
-    quantum = []
-    errs = []
-    for label, (counts, tilt) in classes.items():
-        chi = counting_function([ConfigurationClass(counts, FINAL_SHARED, RIGHT_MOVER)], protocol)
-        value, err = _quantum_integral(chi, tilt, 1, occ, config)
-        quantum.append((label, value))
-        errs.append(err)
-    if t >= _WASHOUT_RATIO * ell:
-        classical, tag = 0.0, "squeezed-long-time-washout"
-    else:
-        classical, tag = None, LOGN_UNKNOWN
-    diag = {
-        "saddle": json.loads(sol.to_json()),
-        "quantum_quadrature_error": sum(errs),
-        "logN_regime": tag,
-    }
-    return EntropyReport.assemble(baseline, quantum, tag, classical, diag)
+    terms = _squeezed_terms(protocol, sol.lambdas, ((2, 2), (2, 1), (1, 1), (0, 1)))
+    return _measured_report(
+        protocol, occ, terms, sol, log_n_correction(t, tau, ell, occ, m=2, config=config), config
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -389,30 +375,24 @@ def averaged_correction(protocol: MeasurementProtocol, occ: OccupationFunction, 
     if classical is None:
         raise RegimeError(f"no log-prefactor convention for this regime ({tag})")
 
+    (sigma_tau,) = variance_steps(tau, 1, ell, occ, config=config)
     if m == 1:
-        sigma_tau = variance_symmetric(tau, ell, occ, config=config)
         sigma_t = variance_symmetric(t, ell, occ, config=config)
         sigma_tmtau = variance_symmetric(t - tau, ell, occ, config=config)
-        (chi1,) = shared_suffix_chis(protocol)
-
-        def integrand(k):
-            return chi1(k) * _replica_width(occ.evaluate(k))
-
-        integral, _ = momentum_integral(integrand, kinks=chi1.kinks, config=config)
+        (chi,) = shared_suffix_chis(protocol)
         variance_term = -(sigma_t - sigma_tmtau) / (2 * sigma_tau)
-        config_term = -integral / (2 * sigma_tau)
     else:
         if t > ell / 2:
             raise RegimeError("multi-measurement averages are implemented for t <= ell/2")
-        d = drude_weight(occ, config=config)
-
-        def integrand(k):
-            return np.abs(np.sin(k)) * _replica_width(occ.evaluate(k))
-
-        integral, _ = momentum_integral(integrand, config=config)
+        # inside the light cone every step's pairs weigh like the first period's
+        chi = light_cone_weight(tau, ell)
         variance_term = -0.5 * m
-        config_term = -m * integral / (2 * d)
 
+    def integrand(k):
+        return chi(k) * _replica_width(occ.evaluate(k))
+
+    integral, _ = momentum_integral(integrand, kinks=chi.kinks, config=config)
+    config_term = -m * integral / (2 * sigma_tau)
     value = classical + variance_term + config_term
     breakdown = {
         "classical": classical,

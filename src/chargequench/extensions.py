@@ -14,10 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import FINAL_SHARED, ConfigurationClass, MeasurementProtocol, counting_function
-from .entropy import EntropyReport, _quantum_integral, unmeasured_entropy
+from .entropy import EntropyReport, _measured_report
 from .errors import RegimeError
 from .fluctuations import variance_saturated
 from .quadrature import DEFAULT_CONFIG, momentum_integral
+from .saddle import SaddleSolution
 from .states import OccupationFunction, Pairing
 
 MEASURE_SUBSYSTEM = "subsystem"
@@ -210,20 +211,15 @@ def geometry_entropy(
         )
     if sigma2 <= 0:
         raise RegimeError("measured region carries no charge fluctuations")
-    lam = (q - center) / sigma2
 
     protocol = MeasurementProtocol(ell=ell, tau=0.0, m=1, t=t, outcomes=(q,))
     # Unpinned class at half weight: asymmetric measured regions feed A from
     # one side only, so the two member pins are not equivalent here.
     chi = counting_function([ConfigurationClass((2,), FINAL_SHARED, None)], protocol, region,
                             weight=0.5)
-    quantum, qerr = _quantum_integral(chi, lam, 2, occ, config)
-    baseline = unmeasured_entropy(1.0, t, ell, occ, config=config)
-    diagnostics.update(
-        {"lambda": lam, "saddle_center": center, "saddle_variance": sigma2,
-         "quantum_quadrature_error": qerr}
-    )
-    label = "chi~[2]_AAbar"
-    return EntropyReport.assemble(
-        baseline, [(label, quantum)], "geometry-logN-unknown", None, diagnostics
+    sol = SaddleSolution(((q - center) / sigma2,), "linearized", f"geometry-{geom.measured_region}")
+    return _measured_report(
+        protocol, occ, [("chi~[2]_AAbar", chi, 2 * sol.lambdas[0])], sol,
+        (None, "geometry-logN-unknown"), config,
+        saddle_center=center, saddle_variance=sigma2, **diagnostics,
     )

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import light_cone_weight
+from .entropy import unmeasured_entropy
 from .errors import RegimeError
-from .quadrature import DEFAULT_CONFIG, momentum_integral
+from .quadrature import DEFAULT_CONFIG
+from .states import neel_state
 
 _LONG_TIME_RATIO = 10.0
 
@@ -73,12 +74,6 @@ def _log_measurement_factor(dq: float, tau: float) -> float:
     )
 
 
-def _baseline(t: float, ell: float, config) -> float:
-    weight = light_cone_weight(t, ell)
-    value, _ = momentum_integral(lambda k: weight(k) * math.log(2.0), kinks=weight.kinks, config=config)
-    return value
-
-
 def neel_entropy_exact(
     t, tau, dq_seq, ell, alpha: float = 1.0, config=DEFAULT_CONFIG
 ) -> NeelExactResult:
@@ -96,7 +91,7 @@ def neel_entropy_exact(
     m = len(dq_seq)
     if t < m * tau:
         raise RegimeError("final time precedes the last measurement")
-    baseline = _baseline(t, ell, config)
+    baseline = unmeasured_entropy(1.0, t, ell, neel_state(), config=config)
     regime = "continuum-tau" if (4 * tau / math.pi) % 1.0 > 1e-12 else "integer-tau"
     if t >= _LONG_TIME_RATIO * ell:
         return NeelExactResult(

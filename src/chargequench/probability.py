@@ -262,7 +262,7 @@ def _mc_symmetric(protocol, occ, samples, seed, distribution, config):
                 )
             else:
                 lam = dq / steps[step - 1]
-            cache[key], _ = _quantum_integral(chis[step], lam, 1, occ, config)
+            cache[key], _ = _quantum_integral(chis[step], lam, occ, config)
         return cache[key]
 
     totals = [

@@ -27,39 +27,20 @@ _LAMBDA_BRACKET = 50.0
 
 @dataclass(frozen=True)
 class SaddleSolution:
-    """Multipliers (one per measurement), feasibility and provenance tags."""
+    """Multipliers (one per measurement) and provenance tags.  Every solver
+    returns a feasible solution or raises."""
 
     lambdas: tuple[float, ...]
-    feasible: bool
     mode: str
     regime: str
-    suffix: tuple[float, ...] | None = None  # the suffix sums, where solved for directly
-
-    def suffix_sums(self) -> tuple[float, ...]:
-        """Lambda_l = sum_{s=l}^{m} lambda_s, the tilt applied from step l on.
-
-        A solver that solves for these sums directly stores them, so that a
-        zero charge step keeps a tilt of exactly 0.0 (re-adding the
-        differences leaves rounding residue).
-        """
-        if self.suffix is not None:
-            return self.suffix
-        out = []
-        acc = 0.0
-        for lam in reversed(self.lambdas):
-            acc += lam
-            out.append(acc)
-        return tuple(reversed(out))
+    # Lambda_l = sum_{s=l}^{m} lambda_s, the tilt applied from step l on,
+    # where the solver solves for these sums directly (the symmetric chain):
+    # a zero charge step then keeps a tilt of exactly 0.0, which re-adding
+    # the differences would not (rounding residue)
+    suffix: tuple[float, ...] | None = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "lambdas": list(self.lambdas),
-                "feasible": self.feasible,
-                "mode": self.mode,
-                "regime": self.regime,
-            }
-        )
+        return json.dumps({"lambdas": list(self.lambdas), "mode": self.mode, "regime": self.regime})
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +122,7 @@ def solve_saddle_symmetric_single(
     if window > 0 and abs(dq) > 0.99 * window:
         regime += ";saddle-unreliable"  # approximation degrades near the light cone
     if dq == 0.0:
-        return SaddleSolution((0.0,), True, "exact", regime)
+        return SaddleSolution((0.0,), "exact", regime)
 
     weight = light_cone_weight(tau, ell)
 
@@ -186,7 +167,7 @@ def solve_saddle_symmetric_single(
         if d <= 0:
             break
         lam -= residual(lam) / d
-    return SaddleSolution((lam,), True, "exact", regime)
+    return SaddleSolution((lam,), "exact", regime)
 
 
 def solve_saddle_symmetric_multi(
@@ -211,7 +192,7 @@ def solve_saddle_symmetric_multi(
     steps = variance_steps(tau, m, ell, occ, config=config)
     suffix = [dq / step for dq, step in zip(dq_seq, steps)]
     lambdas = [suffix[l] - (suffix[l + 1] if l + 1 < m else 0.0) for l in range(m)]
-    return SaddleSolution(tuple(lambdas), True, "linearized", "symmetric-multi", tuple(suffix))
+    return SaddleSolution(tuple(lambdas), "linearized", "symmetric-multi", tuple(suffix))
 
 
 def solve_saddle_squeezed(
@@ -238,7 +219,7 @@ def solve_saddle_squeezed(
     if m == 1:
         if sigma_tau2 <= 1e-14:
             raise RegimeError("squeezed variance vanished; no fluctuations to measure")
-        return SaddleSolution(((q_seq[0] - qbar) / sigma_tau2,), True, "linearized", "squeezed-single")
+        return SaddleSolution(((q_seq[0] - qbar) / sigma_tau2,), "linearized", "squeezed-single")
     dq2 = q_seq[1] - q_seq[0]
     window = charge_window(tau, ell, config=config)
     if abs(dq2) >= window:
@@ -252,4 +233,4 @@ def solve_saddle_squeezed(
         raise RegimeError("singular squeezed two-measurement system")
     lam1 = dq2 / denom
     lam2 = (q_seq[0] - qbar - lam1 * sigma_tau2) / sigma_2tau2
-    return SaddleSolution((lam1, lam2), True, "linearized", "squeezed-double")
+    return SaddleSolution((lam1, lam2), "linearized", "squeezed-double")

@@ -92,3 +92,23 @@ def test_cli_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_config_file_is_parsed_like_flags(tmp_path, capsys):
+    # integer and seed options keep their types when they come from the file
+    config = tmp_path / "average.cfg"
+    config.write_text("state = dimer\nell=80\ntau = 6  # period\nt=24\nm=3\nsamples=100\nseed=5\n")
+    flags = ["average", "--state", "dimer", "--ell", "80", "--tau", "6", "--t", "24", "--m", "3",
+             "--samples", "100"]
+    runs = {
+        "file": ["average", "--config", str(config)],
+        "flags": [*flags, "--seed", "5"],
+        "file-flag-wins": ["average", "--config", str(config), "--seed", "6"],
+        "flags-6": [*flags, "--seed", "6"],
+    }
+    got = {}
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0, capsys.readouterr().err
+        got[name] = (tmp_path / name / "average.json").read_text()
+    assert got["file"] == got["flags"]
+    assert got["file-flag-wins"] == got["flags-6"] != got["file"]

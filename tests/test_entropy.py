@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from chargequench import (
+    GeometrySpec,
     averaged_correction,
     entropy_squeezed_double,
     entropy_squeezed_single,
     entropy_symmetric_multi,
     entropy_symmetric_single,
+    geometry_entropy,
+    get_state,
     log_n_correction,
     unmeasured_entropy,
 )
@@ -23,6 +26,7 @@ from chargequench.counting import (
 )
 from chargequench.entropy import LOGN_UNKNOWN
 from chargequench.errors import FeasibilityError, RegimeError
+from chargequench.extensions import MEASURE_COMPLEMENT, MEASURE_DISJOINT
 from chargequench.fluctuations import variance_symmetric
 from chargequench.quadrature import momentum_integral
 from chargequench.saddle import modified_occupation, solve_saddle_squeezed
@@ -278,3 +282,34 @@ def test_report_serialisation(neel):
     rep = entropy_symmetric_single(90.0, 40.0, 1000.0, 503.0, neel.occupation)
     payload = rep.to_json()
     assert "chi[1]_AAbar" in payload and "symmetric-small-time" in payload
+
+
+def test_squeezed_double_reads_its_classical_term_from_log_n():
+    occ = get_state("tilted:1.1").occupation
+    ell, tau = 40.0, 3.0
+    for t in (8.0, 26.0, 400.0, 800.0):
+        rep = entropy_squeezed_double(t, tau, ell, 22.0, 23.0, occ)
+        value, tag = log_n_correction(t, tau, ell, occ, m=2)
+        assert rep.classical_correction == (tag, value)
+    assert log_n_correction(400.0, tau, ell, occ, m=2) == (0.0, "squeezed-long-time-washout")
+    # the m = 1 light-cone convention of a tau = 0 measurement does not carry over to m = 2
+    assert log_n_correction(5.0, 0.0, ell, occ, m=2) == (None, LOGN_UNKNOWN)
+
+
+def test_every_report_kind_carries_the_same_diagnostics(neel, tilted_max):
+    occ = tilted_max.occupation
+    reports = [
+        entropy_symmetric_single(14.0, 6.0, 40.0, 22.0, neel.occupation),
+        entropy_symmetric_multi(24.0, 6.0, 40.0, [22.0, 21.0], neel.occupation),
+        entropy_squeezed_single(26.0, 3.0, 40.0, 22.0, occ),
+        entropy_squeezed_double(26.0, 3.0, 40.0, 22.0, 23.0, occ),
+        geometry_entropy(GeometrySpec(MEASURE_COMPLEMENT, total_length=80.0), 25.0, 40.0, 24.0, occ),
+        geometry_entropy(GeometrySpec(MEASURE_DISJOINT, distance=12.0, ell_b=20.0), 25.0, 40.0, 11.0,
+                         occ),
+    ]
+    for rep in reports:
+        diag = rep.diagnostics
+        assert {"saddle", "quantum_quadrature_error", "logN_regime"} <= set(diag)
+        assert diag["logN_regime"] == rep.classical_correction[0]
+        assert diag["quantum_quadrature_error"] >= 0.0
+        assert len(diag["saddle"]["lambdas"]) >= 1

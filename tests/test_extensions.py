@@ -117,7 +117,7 @@ def test_geometry_complement_saturation(tilted_max):
     # dq != 0: saturates to ell * int s[n_2dq]
     q = center + 40.0
     rep = geometry_entropy(geom, 100 * ell, ell, q, tilted_max.occupation)
-    lam = rep.diagnostics["lambda"]
+    lam = rep.diagnostics["saddle"]["lambdas"][0]
     target, _ = momentum_integral(
         lambda k: ell * pair_entropy(modified_occupation(tilted_max.occupation.evaluate(k), lam, 2))
     )
@@ -137,7 +137,7 @@ def test_geometry_complement_continuity(tilted_max):
     def total(t):
         return geometry_entropy(geom, t, ell, q, occ).total
 
-    lam = geometry_entropy(geom, 10.0, ell, q, occ).diagnostics["lambda"]
+    lam = geometry_entropy(geom, 10.0, ell, q, occ).diagnostics["saddle"]["lambdas"][0]
 
     def entropy_shift(k):
         n = occ.evaluate(k)

@@ -123,3 +123,12 @@ def test_matches_saddle_module(neel):
     assert res.baseline == pytest.approx(
         unmeasured_entropy(1.0, tau, ell, neel.occupation), abs=1e-9
     )
+
+
+def test_baseline_is_the_neel_report_baseline(neel):
+    # the closed form takes its baseline from `unmeasured_entropy`, bit for bit
+    ell = 40.0
+    for t in (6.0, 14.0, 20.0, 400.0):
+        exact = neel_entropy_exact(t, 6.0, [2.0], ell)
+        report = entropy_symmetric_single(t, 6.0, ell, ell / 2 + 2.0, neel.occupation)
+        assert exact.baseline == report.baseline

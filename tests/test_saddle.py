@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from chargequench import (
     variance_symmetric,
 )
 from chargequench.errors import FeasibilityError, RegimeError
-from chargequench.fluctuations import drude_weight, variance_saturated
+from chargequench.fluctuations import drude_weight, variance_saturated, variance_steps
 from chargequench.quadrature import momentum_integral
 from chargequench.saddle import charge_window
 from chargequench.states import OccupationFunction, Pairing as P
@@ -202,9 +203,12 @@ def test_squeezed_saddle(tilted_max):
         solve_saddle_squeezed([0.0], 1.0, ell, OccupationFunction(lambda k: np.full_like(np.asarray(k, float), .5), P.SYMMETRIC_PARTICLE_HOLE, "x"))
 
 
-def test_suffix_sums():
-    from chargequench import SaddleSolution
-
-    s = SaddleSolution((1.0, 2.0, 3.0), True, "linearized", "r")
-    assert s.suffix_sums() == (6.0, 5.0, 3.0)
-    assert "linearized" in s.to_json()
+def test_suffix_sums(dimer):
+    # the chain solves for the suffix sums Lambda_l = sum_{s >= l} lambda_s
+    dq_seq = (3.0, -1.0, 2.0)
+    sol = solve_saddle_symmetric_multi(dq_seq, 6.0, 40.0, dimer.occupation)
+    steps = variance_steps(6.0, 3, 40.0, dimer.occupation)
+    assert sol.suffix == tuple(dq / step for dq, step in zip(dq_seq, steps))
+    assert sol.lambdas == (sol.suffix[0] - sol.suffix[1], sol.suffix[1] - sol.suffix[2],
+                           sol.suffix[2] - 0.0)
+    assert json.loads(sol.to_json())["mode"] == "linearized"
