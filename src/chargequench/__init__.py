@@ -13,12 +13,8 @@ __version__ = "0.1.0"
 
 from .counting import (
     ConfigurationClass,
-    CountingResult,
     MeasurementProtocol,
-    chi_closed_forms,
-    chi_shared_suffix,
     counting_measure,
-    paper_chi,
 )
 from .entropy import (
     EntropyReport,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -359,7 +360,9 @@ def _config_file_flags(path):
     return flags
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(prog="chargequench")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -373,7 +376,7 @@ def _build_parser():
         sp.add_argument("--m", type=int)
         sp.add_argument("--rtol", type=float, default=1e-10)
         sp.add_argument("--seed", type=int)
-        sp.add_argument("--out", default=os.environ.get("CHARGEQUENCH_OUTDIR", "."))
+        sp.add_argument("--out")
         sp.add_argument("--format", choices=("csv", "json", "both"), default="both")
         sp.add_argument("--config")
 
@@ -406,7 +409,9 @@ def _build_parser():
 
 def build_job(argv) -> JobSpec:
     """Parse a command line.  A `--config` file's flags are parsed by the same
-    parser, placed before the command-line flags so that those win."""
+    parser, placed before the command-line flags so that those win.  Without
+    `--out`, artifacts go to ``$CHARGEQUENCH_OUTDIR`` (read here, per call),
+    else to the working directory."""
     parser = _build_parser()
     args = vars(parser.parse_args(argv))
     if args["config"]:
@@ -415,7 +420,8 @@ def build_job(argv) -> JobSpec:
     subcommand = args.pop("subcommand")
     rtol = args.pop("rtol")
     seed = args.pop("seed")
-    out_dir = args.pop("out")
+    out = args.pop("out")
+    out_dir = os.environ.get("CHARGEQUENCH_OUTDIR", ".") if out is None else out
     fmt = args.pop("format")
     args.pop("config")
     params = {k: v for k, v in args.items() if v is not None and v is not False}

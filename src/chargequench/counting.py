@@ -6,8 +6,7 @@ weight of a "configuration class" (how many members sat inside the measured
 region at each measurement time, and where the pair ends up at the final
 time) is the Lebesgue measure of birth positions x0 realising it.  This
 module computes those measures exactly by interval algebra for arbitrary
-schedules (`counting_measure`), plus the closed forms that exist in limiting
-regimes.
+schedules (`counting_measure`).
 
 Counting engine.  Integrands need chi(k) at thousands of momenta, so
 `counting_function` evaluates the scalar classifier only at a handful of
@@ -28,23 +27,20 @@ infinite measure, and `counting_function` refuses it.
 
 Conventions.  The geometric classifier (`counting_measure`) returns raw
 x0-measures; classes involving "exactly one member inside" pin which member
-(the right or left mover) is the inside one.  The per-momentum counting
-functions used in entropy formulas (`paper_chi`, `chi_closed_forms`) count
-member-pinned measures for shared classes and half the raw measure for
-full-pair classes, so that each physical pair is weighted once under
-``(1/2pi) int_{-pi}^{pi} dk``.
+(the right or left mover) is the inside one.  The counting functions of the
+entropy formulas count member-pinned measures for shared classes and half the
+raw measure (`counting_function`'s ``weight``) for full-pair classes, so that
+each physical pair is weighted once under ``(1/2pi) int_{-pi}^{pi} dk``.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RegimeError
 from .intervals import IntervalSet, window_hull
 from .quadrature import velocity_kinks
 
@@ -190,16 +186,6 @@ def counting_measure(
     return allowed.measure
 
 
-def paper_chi(cls: ConfigurationClass, k, protocol, **kwargs) -> float:
-    """Per-momentum counting-function value (pair counted once per k)."""
-    if cls.requires_member:
-        pinned = cls if cls.member is not None else ConfigurationClass(
-            cls.counts, cls.final, RIGHT_MOVER
-        )
-        return counting_measure(pinned, k, protocol, **kwargs)
-    return 0.5 * counting_measure(cls, k, protocol, **kwargs)
-
-
 def enumerate_classes(m: int):
     """All finite-measure occupancy strings with their possible final tags.
 
@@ -290,41 +276,6 @@ def light_cone_weight(t: float, ell: float) -> CountingFunction:
     return CountingFunction(np.array([0.0, ell / (2 * t), 1.0]), np.array([0.0, ell, ell]))
 
 
-# ---------------------------------------------------------------------------
-# Closed forms
-# ---------------------------------------------------------------------------
-
-_LIGHT_CONE = "light-cone"
-_AT_MEASUREMENT = "at-measurement"
-_WASHED = "washed"
-_EXTENDED = "classifier-extended"
-
-
-def single_measurement_chis(v: float, tau: float, t: float, ell: float) -> dict:
-    """Exact per-momentum counting functions for one measurement at tau <= t.
-
-    Derived from the ballistic geometry; they reduce to the usual
-    ``min(2|v|t, ell)``-type expressions inside the light cone and stay exact
-    through the crossover windows.
-    """
-    v = abs(v)
-    shared_tau = min(2 * v * tau, ell)
-    chi1_shared = max(0.0, min(2 * v * tau, ell - v * (t - tau)))
-    chi1_out = shared_tau - chi1_shared
-    chi0_shared = min(v * (t - tau), ell)
-    chi2_shared = max(0.0, min(v * (t - tau), ell - v * (t + tau)))
-    chi2_in = 0.5 * max(0.0, ell - 2 * v * t)
-    chi2_out = 0.5 * (ell - shared_tau) - chi2_in - chi2_shared
-    return {
-        "chi[1]_AAbar": chi1_shared,
-        "chi[1]_AbarAbar": chi1_out,
-        "chi[0]_AAbar": chi0_shared,
-        "chi[2]_AAbar": chi2_shared,
-        "chi[2]_AA": chi2_in,
-        "chi[2]_AbarAbar": max(0.0, chi2_out),
-    }
-
-
 def shared_suffix_classes(l: int, m: int) -> list[ConfigurationClass]:
     """Classes of the pairs first shared at measurement l, alive at t.
 
@@ -340,72 +291,7 @@ def shared_suffix_classes(l: int, m: int) -> list[ConfigurationClass]:
     return [ConfigurationClass(prefix + suffix, FINAL_SHARED, RIGHT_MOVER) for prefix in prefixes]
 
 
-def chi_shared_suffix(l: int, k, protocol: MeasurementProtocol) -> float:
-    """Counting function of the `shared_suffix_classes` at momentum k."""
-    return sum(counting_measure(cls, k, protocol) for cls in shared_suffix_classes(l, protocol.m))
-
-
 def shared_suffix_chis(protocol: MeasurementProtocol) -> list[CountingFunction]:
-    """chi^(1,l) for l = 1..m as `CountingFunction`s (see `chi_shared_suffix`)."""
+    """chi^(1,l) for l = 1..m, the `shared_suffix_classes`, as `CountingFunction`s."""
     return [counting_function(shared_suffix_classes(l, protocol.m), protocol)
             for l in range(1, protocol.m + 1)]
-
-
-@dataclass(frozen=True)
-class CountingResult:
-    """Per-momentum counting-function values for one schedule."""
-
-    protocol: MeasurementProtocol
-    k: float
-    lengths: dict = field(compare=False)
-    regime: str = _EXTENDED
-
-    def to_json(self) -> str:
-        payload = {
-            "schedule": {
-                "ell": self.protocol.ell,
-                "tau": self.protocol.tau,
-                "m": self.protocol.m,
-                "t": self.protocol.t,
-            },
-            "k": self.k,
-            "regime": self.regime,
-            "lengths": dict(self.lengths),
-        }
-        return json.dumps(payload, sort_keys=True)
-
-
-def chi_closed_forms(protocol: MeasurementProtocol, k) -> CountingResult:
-    """Closed-form counting functions where they are known.
-
-    Single measurement: exact for every (k, tau, t, ell); the ``regime`` tag
-    records whether the values coincide with the simple light-cone /
-    washed-out expressions or use the classifier-consistent extension.
-    Multiple measurements: only the small-time regime ``2|v_k| t <= ell`` has
-    closed forms (every chi^(1,l) equals ``2|v_k| tau``); outside it a
-    RegimeError points callers at `counting_measure`.
-    """
-    v = abs(math.sin(float(k)))
-    tau, t, ell, m = protocol.tau, protocol.t, protocol.ell, protocol.m
-    if m == 0:
-        return CountingResult(protocol, float(k), {"chi_AAbar": min(2 * v * t, ell)}, _LIGHT_CONE)
-    if m == 1:
-        if 2 * v * t <= ell:
-            regime = _LIGHT_CONE
-        elif t == tau:
-            regime = _AT_MEASUREMENT
-        elif v * (t - tau) >= ell:
-            regime = _WASHED
-        else:
-            regime = _EXTENDED
-        return CountingResult(protocol, float(k), single_measurement_chis(v, tau, t, ell), regime)
-    if 2 * v * t > ell:
-        raise RegimeError(
-            "multi-measurement closed forms require 2|v_k| t <= ell; "
-            "use counting_measure for general schedules"
-        )
-    lengths = {f"chi[1,{l}]_AAbar": 2 * v * tau for l in range(1, m + 1)}
-    lengths.update(
-        {f"chi[2@{l}]_pairs": 0.5 * (ell - min(2 * v * l * tau, ell)) for l in range(1, m + 1)}
-    )
-    return CountingResult(protocol, float(k), lengths, _LIGHT_CONE)

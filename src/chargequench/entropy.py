@@ -30,6 +30,7 @@ from .counting import (
 from .errors import RegimeError
 from .fluctuations import (
     asymmetry,
+    number_entropy,
     variance_squeezed,
     variance_steps,
     variance_symmetric,
@@ -192,8 +193,7 @@ def _log_n_squeezed(t, tau, ell, occ, m, config):
         delta_s = asymmetry(tau, ell, occ, config=config)
         if not math.isfinite(delta_s) or sigma2 <= 0:
             return None, LOGN_UNKNOWN
-        s_num = 0.5 * math.log(2 * math.pi * math.e * sigma2)
-        return delta_s - s_num, "squeezed-at-measurement"
+        return delta_s - number_entropy(sigma2), "squeezed-at-measurement"
     if m == 1 and tau == 0 and t <= ell / 2 + 1e-12:
         return 0.0, "squeezed-tau0-light-cone"
     if t >= _WASHOUT_RATIO * ell:

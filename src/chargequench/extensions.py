@@ -74,7 +74,8 @@ def _log_branch_double(beta, n):
     # explicit i*b factor removes the winding for n > 1/2, leaving a
     # principal-branch-safe remainder for every n != 1/2 on |beta| < pi.
     # For |beta| > pi/2 it jumps by 2 pi i where n = 1/2 (see
-    # `_half_filling_momenta`), and near |beta| = pi/2 it peaks there.
+    # `OccupationFunction.half_filling_momenta`), and near |beta| = pi/2 it
+    # peaks there.
     re = 0.5 * np.log1p(-4.0 * n * (1.0 - n) * np.sin(beta) ** 2)
     im = beta + np.arctan2((2 * n - 1) * np.sin(beta), np.cos(beta))
     return re + 1j * im
@@ -106,7 +107,7 @@ def fcs_generating_function(
         return 0.0 + 0.0j
 
     # at |beta| = pi the pair terms have log singularities where n = 1/2
-    kinks = _half_filling_momenta(occ)
+    kinks = occ.half_filling_momenta
     if occ.pairing is Pairing.SYMMETRIC_PARTICLE_HOLE:
 
         def real_part(k):
@@ -131,24 +132,6 @@ def fcs_generating_function(
     re, _ = momentum_integral(lambda k: integrand(k, "re"), kinks=kinks, config=config)
     im, _ = momentum_integral(lambda k: integrand(k, "im"), kinks=kinks, config=config)
     return re + 1j * im
-
-
-def _half_filling_momenta(occ):
-    """Momenta where n(k) crosses 1/2, to machine precision: the sign changes
-    of n - 1/2 on a uniform grid of [-pi, pi], each bracket then cut into 32
-    per pass (ten passes take a 2 pi / 2048 bracket below rounding).  For
-    tilted states they sit at cos k = 2 cos(theta) / (1 + cos^2 theta)."""
-    k = np.linspace(-math.pi, math.pi, 2049)
-    below = np.signbit(occ.evaluate(k) - 0.5)
-    idx = np.nonzero(below[:-1] != below[1:])[0]
-    lo, hi, rows = k[idx], k[idx + 1], np.arange(len(idx))
-    cuts = np.linspace(0.0, 1.0, 33)
-    for _ in range(10):
-        grid = lo[:, None] + (hi - lo)[:, None] * cuts
-        below = np.signbit(occ.evaluate(grid) - 0.5)
-        first = np.argmax(below[:, :-1] != below[:, 1:], axis=1)
-        lo, hi = grid[rows, first], grid[rows, first + 1]
-    return (0.5 * (lo + hi)).tolist()
 
 
 def _log_single(beta, n):

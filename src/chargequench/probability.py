@@ -29,7 +29,7 @@ from .errors import FeasibilityError, RegimeError
 from .fluctuations import drude_weight, variance_squeezed, variance_steps
 from .neel_exact import neel_charged_moment, neel_exact_pdf_logweight
 from .quadrature import DEFAULT_CONFIG, integrate
-from .saddle import charge_window, solve_saddle_symmetric_single
+from .saddle import _check_window, charge_window, solve_saddle_symmetric_single
 from .states import OccupationFunction, Pairing
 
 KIND_GAUSSIAN = "gaussian"
@@ -109,21 +109,18 @@ def outcome_pdf(dist: OutcomeDistribution, q) -> float:
     outcome.  The exact half-filled density vanishes outside the open
     feasibility window (the closed form's logarithms are undefined there).
     """
+    qs = np.atleast_1d(np.asarray(q, dtype=float))
+    if len(qs) != dist.m:
+        raise ValueError("outcome sequence length mismatch")
     if dist.kind == KIND_NEEL_EXACT:
-        qs = np.atleast_1d(np.asarray(q, dtype=float))
-        if len(qs) != dist.m:
-            raise ValueError("outcome sequence length mismatch")
         norm = _neel_norm(dist)
         density = 1.0
         prev = dist.center
-        for step, qi in enumerate(qs):
+        for qi in qs:
             logw = neel_exact_pdf_logweight(qi - prev, dist.tau)
             density *= 0.0 if np.isneginf(logw) else math.exp(float(logw)) / norm
             prev = qi
         return float(density)
-    qs = np.atleast_1d(np.asarray(q, dtype=float))
-    if len(qs) != dist.m:
-        raise ValueError("outcome sequence length mismatch")
     density = 1.0
     prev = dist.center
     for step, qi in enumerate(qs):
@@ -226,18 +223,14 @@ def monte_carlo_average(
 def _mc_symmetric(protocol, occ, samples, seed, distribution, config):
     t, tau, ell, m = protocol.t, protocol.tau, protocol.ell, protocol.m
     dist = distribution or chain_distribution(tau, m, ell, occ, config=config)
-    seqs, rejections = sample_many(seed, dist, samples)
-    if rejections > 0.01 * samples * m:
-        raise FeasibilityError(
-            f"more than 1% of draws were infeasible ({rejections} rejections)"
-        )
+    rows, counts = _distinct_draws(seed, dist, samples)
+    increments = np.diff(np.hstack([np.full((len(rows), 1), ell / 2.0), rows]), axis=1)
+    _check_window(np.max(np.abs(increments), axis=0), tau, ell, config)
     baseline = unmeasured_entropy(1.0, t, ell, occ, config=config)
     classical, tag = log_n_correction(t, tau, ell, occ, m=m, config=config)
     if classical is None:
         raise RegimeError(f"no log-prefactor convention for this regime ({tag})")
 
-    rows, counts = np.unique(seqs, axis=0, return_counts=True)
-    increments = np.diff(np.hstack([np.full((len(rows), 1), ell / 2.0), rows]), axis=1)
     # Inside the light cone (2t <= ell) every step's chi is 2|v_k| tau, so all
     # steps with the same charge increment share step 1's correction.
     light_cone = 2 * t <= ell
@@ -246,7 +239,6 @@ def _mc_symmetric(protocol, occ, samples, seed, distribution, config):
     if m > 1:
         # the linearised chain: step l's tilt is dq_l / (its variance step)
         steps = variance_steps(tau, m, ell, occ, config=config)
-        window = charge_window(tau, ell, config=config)
 
     cache: dict = {}
 
@@ -256,10 +248,6 @@ def _mc_symmetric(protocol, occ, samples, seed, distribution, config):
         if key not in cache:
             if m == 1:
                 lam = solve_saddle_symmetric_single(dq, tau, ell, occ, config=config).lambdas[0]
-            elif abs(dq) >= window:
-                raise FeasibilityError(
-                    f"measurement {l}: |dq| = {abs(dq):g} exceeds the window {window:g}", step=l
-                )
             else:
                 lam = dq / steps[step - 1]
             cache[key], _ = _quantum_integral(chis[step], lam, occ, config)
@@ -300,12 +288,7 @@ def _mc_squeezed(protocol, occ, samples, seed, distribution, config):
                 charge_window(tau, ell, config=config),
                 first_step_unrestricted=True,
             )
-    seqs, rejections = sample_many(seed, distribution, samples)
-    if rejections > 0.01 * samples * m:
-        raise FeasibilityError(
-            f"more than 1% of draws were infeasible ({rejections} rejections)"
-        )
-    rows, counts = np.unique(seqs, axis=0, return_counts=True)
+    rows, counts = _distinct_draws(seed, distribution, samples)
     totals = []
     for row in rows:
         if m == 1:
@@ -314,6 +297,15 @@ def _mc_squeezed(protocol, occ, samples, seed, distribution, config):
             report = entropy_squeezed_double(t, tau, ell, row[0], row[1], occ, config=config)
         totals.append(report.total)
     return _count_weighted_mean(totals, counts)
+
+
+def _distinct_draws(seed, dist, samples):
+    """The distinct sampled outcome sequences and their counts; more than 1 %
+    of draws rejected as infeasible raises `FeasibilityError`."""
+    seqs, rejections = sample_many(seed, dist, samples)
+    if rejections > 0.01 * samples * dist.m:
+        raise FeasibilityError(f"more than 1% of draws were infeasible ({rejections} rejections)")
+    return np.unique(seqs, axis=0, return_counts=True)
 
 
 def _count_weighted_mean(totals, counts):

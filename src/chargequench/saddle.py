@@ -22,7 +22,10 @@ from .fluctuations import variance_saturated, variance_squeezed, variance_steps
 from .quadrature import DEFAULT_CONFIG, momentum_integral
 from .states import OccupationFunction, Pairing
 
-_LAMBDA_BRACKET = 50.0
+_NEWTON_STEPS = 100  # safeguarded Newton iterations of one single-measurement solve
+# |lambda| beyond which no root is sought: below it e^{-2|lambda|} is a normal
+# float, so both saddle integrands stay finite where n(k) is exactly 0 or 1
+_LAMBDA_MAX = 300.0
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,21 @@ def feasibility(dq_seq, tau: float, ell: float, pairing: Pairing, config=DEFAULT
     )
 
 
+def _check_window(dq_seq, tau, ell, config, first_free=False) -> float:
+    """The `charge_window`, after raising `FeasibilityError` at the first
+    step i (1-indexed) with |dq_i| >= window; ``first_free`` exempts step 1
+    (the first measurement of a squeezed state)."""
+    window = charge_window(tau, ell, config=config)
+    for i, dq in enumerate(dq_seq, 1):
+        if abs(dq) >= window and not (first_free and i == 1):
+            raise FeasibilityError(
+                f"measurement {i}: |dq| = {abs(dq):g} exceeds the window {window:g} "
+                f"(tau = {tau:g}, ell = {ell:g})",
+                step=i,
+            )
+    return window
+
+
 # ---------------------------------------------------------------------------
 # Tilted occupations
 # ---------------------------------------------------------------------------
@@ -105,21 +123,19 @@ def solve_saddle_symmetric_single(
 ) -> SaddleSolution:
     """Single-measurement multiplier for a symmetric state.
 
-    Solves the monotone scalar equation
-    ``dq = (1/2pi) int dk min(2|v_k| tau, ell) (n_lam(k) - 1/2)`` by bracketed
-    bisection plus two Newton polish steps.  Its linearisation is
-    ``dq / sigma_tau^2``.
+    Solves the monotone equation ``r(lam) = (1/2pi) int dk w(k) (n_lam(k) -
+    1/2) - dq = 0``, w = min(2|v_k| tau, ell), by safeguarded Newton from
+    ``2 atanh(dq / window)``, the root for a flat n(k) (Neel).  r(0) = -dq
+    (particle-hole symmetry) puts the root on dq's side of 0; every residual
+    narrows that bracket, and a step that leaves it, or a slope <= 0, is
+    replaced by the midpoint, or by doubling lam while the far side is open.
+    Its linearisation is ``dq / sigma_tau^2``.
     """
     if occ.pairing is not Pairing.SYMMETRIC_PARTICLE_HOLE:
         raise ValueError("use solve_saddle_squeezed for squeezed-pair states")
-    window = charge_window(tau, ell, config=config)
-    if abs(dq) >= window:
-        raise FeasibilityError(
-            f"outcome deviation |dq| = {abs(dq):g} exceeds the time-delay window {window:g}",
-            step=1,
-        )
+    window = _check_window([dq], tau, ell, config)
     regime = "symmetric-single"
-    if window > 0 and abs(dq) > 0.99 * window:
+    if abs(dq) > 0.99 * window:
         regime += ";saddle-unreliable"  # approximation degrades near the light cone
     if dq == 0.0:
         return SaddleSolution((0.0,), "exact", regime)
@@ -146,28 +162,28 @@ def solve_saddle_symmetric_single(
         value, _ = momentum_integral(integrand, kinks=weight.kinks, config=config)
         return value
 
-    lo, hi = -_LAMBDA_BRACKET, _LAMBDA_BRACKET
-    flo, fhi = residual(lo), residual(hi)
-    if flo > 0 or fhi < 0:
-        raise RegimeError(
-            "saddle point not bracketed within |lambda| <= 50; the outcome sits "
-            "too close to the light-cone boundary for a reliable saddle"
-        )
-    for _ in range(64):  # bisection to interval width 1e-12
-        mid = 0.5 * (lo + hi)
-        if residual(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    lam = 0.5 * (lo + hi)
-    for _ in range(2):  # Newton polish to machine accuracy
+    lo, hi = (0.0, math.inf) if dq > 0 else (-math.inf, 0.0)
+    lam = 2.0 * math.atanh(dq / window)  # finite: |dq| < window rounds to |dq / window| < 1
+    for _ in range(_NEWTON_STEPS):
+        r = residual(lam)
+        if r < 0:
+            lo = lam
+        elif r > 0:
+            hi = lam
         d = slope(lam)
-        if d <= 0:
+        step = -r / d if d > 0 else math.nan
+        if not lo < lam + step < hi:  # also a NaN step
+            step = lam if math.isinf(lo + hi) else 0.5 * (lo + hi) - lam
+        lam += step
+        if abs(step) <= 1e-13 * max(1.0, abs(lam)):
+            return SaddleSolution((lam,), "exact", regime)
+        if abs(lam) > _LAMBDA_MAX:
             break
-        lam -= residual(lam) / d
-    return SaddleSolution((lam,), "exact", regime)
+    raise RegimeError(
+        f"saddle for dq = {dq:g} (tau = {tau:g}, ell = {ell:g}, state {occ.label}) not found "
+        f"within {_NEWTON_STEPS} Newton steps and |lambda| <= {_LAMBDA_MAX:g}; the outcome "
+        "sits too close to the light-cone boundary for a reliable saddle"
+    )
 
 
 def solve_saddle_symmetric_multi(
@@ -182,13 +198,7 @@ def solve_saddle_symmetric_multi(
     if occ.pairing is not Pairing.SYMMETRIC_PARTICLE_HOLE:
         raise ValueError("use solve_saddle_squeezed for squeezed-pair states")
     m = len(dq_seq)
-    window = charge_window(tau, ell, config=config)
-    for i, dq in enumerate(dq_seq):
-        if abs(dq) >= window:
-            raise FeasibilityError(
-                f"measurement {i + 1}: |dq| = {abs(dq):g} exceeds the window {window:g}",
-                step=i + 1,
-            )
+    _check_window(dq_seq, tau, ell, config)
     steps = variance_steps(tau, m, ell, occ, config=config)
     suffix = [dq / step for dq, step in zip(dq_seq, steps)]
     lambdas = [suffix[l] - (suffix[l + 1] if l + 1 < m else 0.0) for l in range(m)]
@@ -221,11 +231,7 @@ def solve_saddle_squeezed(
             raise RegimeError("squeezed variance vanished; no fluctuations to measure")
         return SaddleSolution(((q_seq[0] - qbar) / sigma_tau2,), "linearized", "squeezed-single")
     dq2 = q_seq[1] - q_seq[0]
-    window = charge_window(tau, ell, config=config)
-    if abs(dq2) >= window:
-        raise FeasibilityError(
-            f"second outcome jump |dq| = {abs(dq2):g} exceeds the window {window:g}", step=2
-        )
+    _check_window((q_seq[0] - qbar, dq2), tau, ell, config, first_free=True)
     sigma_2tau2 = variance_squeezed(2 * tau, ell, occ, config=config)
     sigma_inf2 = variance_saturated(ell, occ, config=config)
     denom = 2 * sigma_tau2 - sigma_inf2

@@ -17,6 +17,7 @@ group velocity as ``v = |sin k|``.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -59,6 +60,25 @@ class OccupationFunction:
 
     def __call__(self, k):
         return self.evaluate(k)
+
+    @functools.cached_property
+    def half_filling_momenta(self) -> tuple[float, ...]:
+        """Momenta where n(k) crosses 1/2, to machine precision: the sign
+        changes of n - 1/2 on a uniform grid of [-pi, pi], each bracket then
+        cut into 32 per pass (ten passes take a 2 pi / 2048 bracket below
+        rounding).  For tilted states they sit at
+        cos k = 2 cos(theta) / (1 + cos^2 theta).  Found once per state."""
+        k = np.linspace(-math.pi, math.pi, 2049)
+        below = np.signbit(self.evaluate(k) - 0.5)
+        idx = np.nonzero(below[:-1] != below[1:])[0]
+        lo, hi, rows = k[idx], k[idx + 1], np.arange(len(idx))
+        cuts = np.linspace(0.0, 1.0, 33)
+        for _ in range(10):
+            grid = lo[:, None] + (hi - lo)[:, None] * cuts
+            below = np.signbit(self.evaluate(grid) - 0.5)
+            first = np.argmax(below[:, :-1] != below[:, 1:], axis=1)
+            lo, hi = grid[rows, first], grid[rows, first + 1]
+        return tuple((0.5 * (lo + hi)).tolist())
 
 
 def occupation_neel(k):

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import chargequench
+from chargequench import cli
 from chargequench.cli import _COMMANDS, JobSpec, main
 
 # Every subcommand with only the arguments it needs; the defaults do the rest.
@@ -112,3 +113,13 @@ def test_config_file_is_parsed_like_flags(tmp_path, capsys):
         got[name] = (tmp_path / name / "average.json").read_text()
     assert got["file"] == got["flags"]
     assert got["file-flag-wins"] == got["flags-6"] != got["file"]
+
+
+def test_parser_is_built_once_and_reads_the_outdir_per_call(tmp_path, monkeypatch, capsys):
+    cli._build_parser.cache_clear()
+    argv = ["saddle", "--ell", "40", "--tau", "6", "--dq", "1"]
+    for name in ("first", "second"):
+        monkeypatch.setenv("CHARGEQUENCH_OUTDIR", str(tmp_path / name))
+        assert main(argv) == 0, capsys.readouterr().err
+        assert (tmp_path / name / "saddle.json").exists()
+    assert cli._build_parser.cache_info().misses == 1

@@ -14,17 +14,14 @@ from chargequench.counting import (
     RIGHT_MOVER,
     ConfigurationClass,
     MeasurementProtocol,
-    chi_closed_forms,
-    chi_shared_suffix,
     counting_function,
     counting_measure,
     enumerate_classes,
     light_cone_weight,
-    paper_chi,
-    single_measurement_chis,
     velocity_breakpoints,
 )
 from chargequench.errors import RegimeError
+from chi_oracles import chi_closed_forms, chi_shared_suffix, paper_chi, single_measurement_chis
 
 
 def test_counting_measure_shared_once_formula():

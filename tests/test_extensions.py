@@ -21,6 +21,7 @@ from chargequench.extensions import (
 )
 from chargequench.quadrature import momentum_integral
 from chargequench.saddle import modified_occupation
+from chargequench.states import OccupationFunction
 
 
 def test_fcs_zero_field(neel, tilted_max):
@@ -170,3 +171,22 @@ def test_geometry_validation(neel, tilted_max):
     with pytest.raises(ValueError):
         geometry_entropy(GeometrySpec(MEASURE_COMPLEMENT, total_length=50.0), 1.0, 100.0, 10.0,
                          tilted_max.occupation)
+
+
+def test_fcs_sweep_finds_the_half_filling_momenta_once():
+    # the n(k) = 1/2 scan (a 2049-point grid) runs once per state, not per beta,
+    # and a fresh state per beta (a new scan each time) gives the same bits
+    scans = []
+    base = get_state("tilted:1.1").occupation
+
+    def evaluate(k):
+        if np.shape(k) == (2049,):
+            scans.append(k)
+        return base.evaluate(k)
+
+    occ = OccupationFunction(evaluate, base.pairing, base.label, base.mean_density)
+    betas = np.linspace(-3.14, 3.14, 41)
+    values = [fcs_generating_function(b, 3.0, 40.0, occ) for b in betas]
+    assert len(scans) == 1
+    fresh = [fcs_generating_function(b, 3.0, 40.0, get_state("tilted:1.1").occupation) for b in betas]
+    assert values == fresh

@@ -5,17 +5,23 @@ import numpy as np
 import pytest
 
 from chargequench import (
+    MeasurementProtocol,
     Pairing,
+    QuadratureConfig,
     feasibility,
     modified_occupation,
+    monte_carlo_average,
     solve_saddle_squeezed,
     solve_saddle_symmetric_multi,
     solve_saddle_symmetric_single,
     variance_squeezed,
     variance_symmetric,
 )
+from chargequench import saddle
+from chargequench.counting import light_cone_weight
 from chargequench.errors import FeasibilityError, RegimeError
 from chargequench.fluctuations import drude_weight, variance_saturated, variance_steps
+from chargequench.probability import KIND_GAUSSIAN, OutcomeDistribution
 from chargequench.quadrature import momentum_integral
 from chargequench.saddle import charge_window
 from chargequench.states import OccupationFunction, Pairing as P
@@ -212,3 +218,80 @@ def test_suffix_sums(dimer):
     assert sol.lambdas == (sol.suffix[0] - sol.suffix[1], sol.suffix[1] - sol.suffix[2],
                            sol.suffix[2] - 0.0)
     assert json.loads(sol.to_json())["mode"] == "linearized"
+
+
+def test_dimer_saddle_residual_at_the_window_edge(dimer):
+    # lambda ~ 20: the returned root must satisfy the saddle equation far
+    # below the solver's own quadrature tolerance, re-integrated at 1e-14
+    tau, ell = 30.0, 40.0
+    window = charge_window(tau, ell)
+    dq = (1 - 1e-7) * window
+    lam = solve_saddle_symmetric_single(dq, tau, ell, dimer.occupation).lambdas[0]
+    weight = light_cone_weight(tau, ell)
+    value, _ = momentum_integral(
+        lambda k: weight(k) * (modified_occupation(dimer.occupation.evaluate(k), lam) - 0.5),
+        kinks=weight.kinks, config=QuadratureConfig(rtol=1e-14),
+    )
+    assert abs(value - dq) <= 1e-11 * window
+
+
+def test_saddle_solve_takes_few_integrals(neel, dimer, monkeypatch):
+    # the Neel start 2 atanh(dq / window) is the root: one residual and one
+    # slope after the window; the dimer needs a few Newton steps; dq = 0
+    # gives exactly 0.0 after the window alone
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return momentum_integral(*args, **kwargs)
+
+    monkeypatch.setattr(saddle, "momentum_integral", counted)
+    ell = 40.0
+    for tau in (6.0, 30.0):
+        window = charge_window(tau, ell)
+        for dq in (0.0, 1.0, 2.0, 3.0, 0.5 * window, -0.5 * window, 0.9 * window, 0.99 * window):
+            if abs(dq) >= window:
+                continue
+            for occ, most in ((neel.occupation, 3), (dimer.occupation, 15)):
+                calls.clear()
+                sol = solve_saddle_symmetric_single(dq, tau, ell, occ)
+                assert len(calls) <= (1 if dq == 0.0 else most), (occ.label, tau, dq, len(calls))
+                assert dq != 0.0 or sol.lambdas == (0.0,)
+
+
+def test_window_errors_name_the_step_tau_and_ell(neel, tilted_max):
+    tau, ell = 10.0, 100.0
+    occ = neel.occupation
+    qbar = ell * tilted_max.occupation.mean_density
+    # a wide Gaussian without window: most first increments exceed the charge window
+    wide = OutcomeDistribution(KIND_GAUSSIAN, ell / 2, (100.0,), tau, ell, None)
+    protocol = MeasurementProtocol(ell=ell, tau=tau, m=1, t=tau)
+    for call, step in (
+        (lambda: solve_saddle_symmetric_single(7.0, tau, ell, occ), 1),
+        (lambda: solve_saddle_symmetric_multi([1.0, -1.0, 7.0], tau, ell, occ), 3),
+        (lambda: solve_saddle_squeezed([qbar + 50.0, qbar + 58.0], tau, ell, tilted_max.occupation), 2),
+        (lambda: monte_carlo_average(protocol, occ, 200, 1, distribution=wide), 1),
+    ):
+        with pytest.raises(FeasibilityError) as err:
+            call()
+        assert err.value.step == step
+        assert f"measurement {step}:" in str(err.value)
+        assert "tau = 10," in str(err.value) and "ell = 100)" in str(err.value)
+
+
+
+def test_unreachable_outcome_raises_regime_error():
+    # n(k) = 0 near k = 0 (and 1 near pi) stays untilted for every lambda, so
+    # outcomes near the window have no root: RegimeError, not a non-finite integral
+    def evaluate(k):
+        k = np.abs(np.asarray(k, dtype=float))
+        return np.where(k < 0.5, 0.0, np.where(k > math.pi - 0.5, 1.0, 0.5))
+
+    occ = OccupationFunction(evaluate, P.SYMMETRIC_PARTICLE_HOLE, "steps")
+    tau, ell = 6.0, 40.0
+    window = charge_window(tau, ell)
+    assert solve_saddle_symmetric_single(0.5 * window, tau, ell, occ).lambdas[0] > 0
+    for dq in (0.95 * window, -0.95 * window):
+        with pytest.raises(RegimeError) as err:
+            solve_saddle_symmetric_single(dq, tau, ell, occ)
+        assert f"dq = {dq:g} (tau = 6, ell = 40, state steps)" in str(err.value)
