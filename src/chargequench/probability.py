@@ -29,7 +29,7 @@ from .errors import FeasibilityError, RegimeError
 from .fluctuations import drude_weight, variance_squeezed, variance_steps
 from .neel_exact import neel_charged_moment, neel_exact_pdf_logweight
 from .quadrature import DEFAULT_CONFIG, integrate
-from .saddle import _check_window, charge_window, solve_saddle_symmetric_single
+from .saddle import _check_window, _saddle_root, charge_window
 from .states import OccupationFunction, Pairing
 
 KIND_GAUSSIAN = "gaussian"
@@ -112,15 +112,7 @@ def outcome_pdf(dist: OutcomeDistribution, q) -> float:
     qs = np.atleast_1d(np.asarray(q, dtype=float))
     if len(qs) != dist.m:
         raise ValueError("outcome sequence length mismatch")
-    if dist.kind == KIND_NEEL_EXACT:
-        norm = _neel_norm(dist)
-        density = 1.0
-        prev = dist.center
-        for qi in qs:
-            logw = neel_exact_pdf_logweight(qi - prev, dist.tau)
-            density *= 0.0 if np.isneginf(logw) else math.exp(float(logw)) / norm
-            prev = qi
-        return float(density)
+    norm = _neel_norm(dist) if dist.kind == KIND_NEEL_EXACT else None
     density = 1.0
     prev = dist.center
     for step, qi in enumerate(qs):
@@ -128,7 +120,10 @@ def outcome_pdf(dist: OutcomeDistribution, q) -> float:
         window = dist.step_window(step)
         if window is not None and abs(dq) >= window:
             return 0.0
-        density *= float(_gaussian_pdf(dq, dist.step_variances[step]))
+        if norm is None:
+            density *= float(_gaussian_pdf(dq, dist.step_variances[step]))
+        else:
+            density *= math.exp(float(neel_exact_pdf_logweight(dq, dist.tau))) / norm
         prev = qi
     return float(density)
 
@@ -225,7 +220,7 @@ def _mc_symmetric(protocol, occ, samples, seed, distribution, config):
     dist = distribution or chain_distribution(tau, m, ell, occ, config=config)
     rows, counts = _distinct_draws(seed, dist, samples)
     increments = np.diff(np.hstack([np.full((len(rows), 1), ell / 2.0), rows]), axis=1)
-    _check_window(np.max(np.abs(increments), axis=0), tau, ell, config)
+    window = _check_window(np.max(np.abs(increments), axis=0), tau, ell, occ.pairing, config)
     baseline = unmeasured_entropy(1.0, t, ell, occ, config=config)
     classical, tag = log_n_correction(t, tau, ell, occ, m=m, config=config)
     if classical is None:
@@ -246,10 +241,7 @@ def _mc_symmetric(protocol, occ, samples, seed, distribution, config):
         step = 1 if light_cone else l
         key = (step, float(dq))
         if key not in cache:
-            if m == 1:
-                lam = solve_saddle_symmetric_single(dq, tau, ell, occ, config=config).lambdas[0]
-            else:
-                lam = dq / steps[step - 1]
+            lam = _saddle_root(dq, window, tau, ell, occ, config) if m == 1 else dq / steps[step - 1]
             cache[key], _ = _quantum_integral(chis[step], lam, occ, config)
         return cache[key]
 

@@ -73,25 +73,28 @@ def feasibility(dq_seq, tau: float, ell: float, pairing: Pairing, config=DEFAULT
     """
     if tau <= 0:
         raise ValueError("feasibility needs tau > 0")
+    return _window_flags(dq_seq, tau, ell, pairing, config)[1]
+
+
+def _window_flags(dq_seq, tau, ell, pairing, config):
+    """The `charge_window` and the per-step flags of `feasibility`."""
     window = charge_window(tau, ell, config=config)
-    return tuple(
+    return window, tuple(
         (pairing is Pairing.SQUEEZED_PAIR and i == 0) or abs(dq) < window
         for i, dq in enumerate(dq_seq)
     )
 
 
-def _check_window(dq_seq, tau, ell, config, first_free=False) -> float:
-    """The `charge_window`, after raising `FeasibilityError` at the first
-    step i (1-indexed) with |dq_i| >= window; ``first_free`` exempts step 1
-    (the first measurement of a squeezed state)."""
-    window = charge_window(tau, ell, config=config)
-    for i, dq in enumerate(dq_seq, 1):
-        if abs(dq) >= window and not (first_free and i == 1):
-            raise FeasibilityError(
-                f"measurement {i}: |dq| = {abs(dq):g} exceeds the window {window:g} "
-                f"(tau = {tau:g}, ell = {ell:g})",
-                step=i,
-            )
+def _check_window(dq_seq, tau, ell, pairing, config) -> float:
+    """The `charge_window`; raises `FeasibilityError` at the first step `feasibility` flags."""
+    window, flags = _window_flags(dq_seq, tau, ell, pairing, config)
+    if not all(flags):
+        i = flags.index(False)
+        raise FeasibilityError(
+            f"measurement {i + 1}: |dq| = {abs(dq_seq[i]):g} exceeds the window {window:g} "
+            f"(tau = {tau:g}, ell = {ell:g})",
+            step=i + 1,
+        )
     return window
 
 
@@ -123,31 +126,34 @@ def solve_saddle_symmetric_single(
 ) -> SaddleSolution:
     """Single-measurement multiplier for a symmetric state.
 
-    Solves the monotone equation ``r(lam) = (1/2pi) int dk w(k) (n_lam(k) -
-    1/2) - dq = 0``, w = min(2|v_k| tau, ell), by safeguarded Newton from
-    ``2 atanh(dq / window)``, the root for a flat n(k) (Neel).  r(0) = -dq
-    (particle-hole symmetry) puts the root on dq's side of 0; every residual
-    narrows that bracket, and a step that leaves it, or a slope <= 0, is
-    replaced by the midpoint, or by doubling lam while the far side is open.
-    Its linearisation is ``dq / sigma_tau^2``.
+    Solves the monotone ``r(lam) = (1/2pi) int dk w(k) (n_lam(k) - 1/2) - dq
+    = 0``, w = min(2|v_k| tau, ell), by Newton from ``2 atanh(dq / window)``,
+    the root for a flat n(k) (Neel).  r(0) = -dq puts the root on dq's side
+    of 0; every residual narrows that bracket, and a step that leaves it or
+    |lam| <= 300, or a slope <= 0, is replaced by the midpoint, or by doubling
+    lam while the far side is open.  A root beyond |lam| = 300 raises
+    `RegimeError`.  Its linearisation is ``dq / sigma_tau^2``.
     """
     if occ.pairing is not Pairing.SYMMETRIC_PARTICLE_HOLE:
         raise ValueError("use solve_saddle_squeezed for squeezed-pair states")
-    window = _check_window([dq], tau, ell, config)
+    window = _check_window([dq], tau, ell, occ.pairing, config)
     regime = "symmetric-single"
     if abs(dq) > 0.99 * window:
         regime += ";saddle-unreliable"  # approximation degrades near the light cone
-    if dq == 0.0:
-        return SaddleSolution((0.0,), "exact", regime)
+    return SaddleSolution((_saddle_root(dq, window, tau, ell, occ, config),), "exact", regime)
 
+
+def _saddle_root(dq, window, tau, ell, occ, config) -> float:
+    """`solve_saddle_symmetric_single`'s root for a dq inside ``window``; 0.0 at dq = 0."""
+    if dq == 0.0:
+        return 0.0
     weight = light_cone_weight(tau, ell)
 
-    def residual(lam):
-        def integrand(k):
-            return weight(k) * (modified_occupation(occ.evaluate(k), lam) - 0.5)
+    def integral(integrand):
+        return momentum_integral(integrand, kinks=weight.kinks, config=config)[0]
 
-        value, _ = momentum_integral(integrand, kinks=weight.kinks, config=config)
-        return value - dq
+    def residual(lam):
+        return integral(lambda k: weight(k) * (modified_occupation(occ.evaluate(k), lam) - 0.5)) - dq
 
     def slope(lam):
         # n_lam (1 - n_lam) = n (1-n) e^{-|lam|} / (a + b e^{-|lam|})^2 with
@@ -159,8 +165,7 @@ def solve_saddle_symmetric_single(
             a, b = (n, 1.0 - n) if lam >= 0 else (1.0 - n, n)
             return weight(k) * n * (1.0 - n) * decay / (a + b * decay) ** 2
 
-        value, _ = momentum_integral(integrand, kinks=weight.kinks, config=config)
-        return value
+        return integral(integrand)
 
     lo, hi = (0.0, math.inf) if dq > 0 else (-math.inf, 0.0)
     lam = 2.0 * math.atanh(dq / window)  # finite: |dq| < window rounds to |dq / window| < 1
@@ -170,19 +175,23 @@ def solve_saddle_symmetric_single(
             lo = lam
         elif r > 0:
             hi = lam
+        if max(lo, -hi) >= _LAMBDA_MAX:
+            break  # the root lies beyond the largest |lam| sought
         d = slope(lam)
         step = -r / d if d > 0 else math.nan
-        if not lo < lam + step < hi:  # also a NaN step
-            step = lam if math.isinf(lo + hi) else 0.5 * (lo + hi) - lam
-        lam += step
         if abs(step) <= 1e-13 * max(1.0, abs(lam)):
-            return SaddleSolution((lam,), "exact", regime)
-        if abs(lam) > _LAMBDA_MAX:
-            break
+            return lam + step
+        if not (lo < lam + step < hi and abs(lam + step) <= _LAMBDA_MAX):  # also a NaN step
+            if math.isinf(lo + hi):
+                step = math.copysign(min(2.0 * abs(lam), _LAMBDA_MAX), lam) - lam
+            else:
+                step = 0.5 * (lo + hi) - lam
+        lam += step
+        if hi - lo <= 1e-13 * max(1.0, abs(lam)):
+            return lam
     raise RegimeError(
-        f"saddle for dq = {dq:g} (tau = {tau:g}, ell = {ell:g}, state {occ.label}) not found "
-        f"within {_NEWTON_STEPS} Newton steps and |lambda| <= {_LAMBDA_MAX:g}; the outcome "
-        "sits too close to the light-cone boundary for a reliable saddle"
+        f"saddle for dq = {dq:g} (tau = {tau:g}, ell = {ell:g}, state {occ.label}) not found within "
+        f"{_NEWTON_STEPS} Newton steps and |lambda| <= {_LAMBDA_MAX:g}: too close to the light cone"
     )
 
 
@@ -198,7 +207,7 @@ def solve_saddle_symmetric_multi(
     if occ.pairing is not Pairing.SYMMETRIC_PARTICLE_HOLE:
         raise ValueError("use solve_saddle_squeezed for squeezed-pair states")
     m = len(dq_seq)
-    _check_window(dq_seq, tau, ell, config)
+    _check_window(dq_seq, tau, ell, occ.pairing, config)
     steps = variance_steps(tau, m, ell, occ, config=config)
     suffix = [dq / step for dq, step in zip(dq_seq, steps)]
     lambdas = [suffix[l] - (suffix[l + 1] if l + 1 < m else 0.0) for l in range(m)]
@@ -231,7 +240,7 @@ def solve_saddle_squeezed(
             raise RegimeError("squeezed variance vanished; no fluctuations to measure")
         return SaddleSolution(((q_seq[0] - qbar) / sigma_tau2,), "linearized", "squeezed-single")
     dq2 = q_seq[1] - q_seq[0]
-    _check_window((q_seq[0] - qbar, dq2), tau, ell, config, first_free=True)
+    _check_window((q_seq[0] - qbar, dq2), tau, ell, occ.pairing, config)
     sigma_2tau2 = variance_squeezed(2 * tau, ell, occ, config=config)
     sigma_inf2 = variance_saturated(ell, occ, config=config)
     denom = 2 * sigma_tau2 - sigma_inf2

@@ -9,6 +9,7 @@ from chargequench import (
     Pairing,
     QuadratureConfig,
     feasibility,
+    get_state,
     modified_occupation,
     monte_carlo_average,
     solve_saddle_squeezed,
@@ -130,6 +131,9 @@ def test_boundary_divergence_and_bracket_error(neel):
     # |lambda| exceeds 20 within a 1e-3 neighbourhood of the boundary
     lam = solve_saddle_symmetric_single(window * (1 - 1e-10), tau, ell, neel.occupation).lambdas[0]
     assert lam > 20.0
+    # closer still the residual is rounding noise, yet the bracket must close
+    lam = solve_saddle_symmetric_single(window * (1 - 1e-12), tau, ell, neel.occupation).lambdas[0]
+    assert lam == pytest.approx(2 * math.atanh(1 - 1e-12), abs=1e-2)
     sol = solve_saddle_symmetric_single(window * 0.995, tau, ell, neel.occupation)
     assert "saddle-unreliable" in sol.regime
     with pytest.raises(FeasibilityError):
@@ -295,3 +299,28 @@ def test_unreachable_outcome_raises_regime_error():
         with pytest.raises(RegimeError) as err:
             solve_saddle_symmetric_single(dq, tau, ell, occ)
         assert f"dq = {dq:g} (tau = 6, ell = 40, state steps)" in str(err.value)
+
+
+def test_small_slope_custom_state_finds_its_root(tmp_path):
+    # n = eps on |k| < pi/2 and 1 - eps beyond: r(lam) ~ 2 W eps sinh(lam) - dq,
+    # so Newton's first step from the Neel start overshoots |lam| = 300 by far;
+    # the root (~13.8 at dq = window / 2) must still be found
+    eps = 1e-6
+    k = np.linspace(-math.pi, math.pi, 401)
+    n = np.where(np.abs(k) < math.pi / 2, eps, 1 - eps)
+    n[np.isclose(np.abs(k), math.pi / 2)] = 0.5
+    path = tmp_path / "small_slope.csv"
+    np.savetxt(path, np.column_stack([k, n]), delimiter=",")
+    occ = get_state(f"custom:{path}").occupation
+    assert occ.pairing is P.SYMMETRIC_PARTICLE_HOLE
+    tau, ell = 6.0, 40.0
+    window = charge_window(tau, ell)
+    weight = light_cone_weight(tau, ell)
+    for dq in (0.5 * window, -0.5 * window, 0.9 * window):
+        lam = solve_saddle_symmetric_single(dq, tau, ell, occ).lambdas[0]
+        assert 10.0 < abs(lam) < 20.0 and math.copysign(1.0, lam) == math.copysign(1.0, dq)
+        value, _ = momentum_integral(
+            lambda k: weight(k) * (modified_occupation(occ.evaluate(k), lam) - 0.5),
+            kinks=weight.kinks,
+        )
+        assert abs(value - dq) <= 1e-9 * window
