@@ -22,12 +22,12 @@ import numpy as np
 from . import __version__
 from .counting import MeasurementProtocol
 from .entropy import (
+    ProtocolTerms,
     averaged_correction,
     entropy_squeezed_double,
     entropy_squeezed_single,
     entropy_symmetric_multi,
     entropy_symmetric_single,
-    unmeasured_entropy,
 )
 from .errors import (
     FeasibilityError,
@@ -45,7 +45,7 @@ from .probability import (
     sample_many,
 )
 from .quadrature import QuadratureConfig
-from .saddle import feasibility, solve_saddle_squeezed, solve_saddle_symmetric_single
+from .saddle import _feasible_window, solve_saddle_squeezed, solve_saddle_symmetric_single
 from .states import Pairing, get_state
 
 EXIT_OK = 0
@@ -191,17 +191,21 @@ def _cmd_saddle(job: JobSpec):
     config = job.quad()
     occ = state.occupation
     rows = []
-    for dq in dq_grid:
-        if occ.pairing is Pairing.SQUEEZED_PAIR:
+    if occ.pairing is Pairing.SQUEEZED_PAIR:
+        for dq in dq_grid:
             # dq from the mean charge; the saddle is linear, exact = linearized
             sol = solve_saddle_squeezed((ell * occ.mean_density + dq,), tau, ell, occ, config=config)
             rows.append((dq, sol.lambdas[0], sol.lambdas[0], 1, sol.regime))
-        elif feasibility([dq], tau, ell, occ.pairing, config=config)[0]:
-            exact = solve_saddle_symmetric_single(dq, tau, ell, occ, config=config)
-            lin = dq / variance_symmetric(tau, ell, occ, config=config)
-            rows.append((dq, exact.lambdas[0], lin, 1, exact.regime))
-        else:
-            rows.append((dq, math.nan, math.nan, 0, "infeasible"))
+    else:
+        # one window and one variance for every dq of the job
+        window, flags = _feasible_window(dq_grid, tau, ell, occ.pairing, config)
+        variance = variance_symmetric(tau, ell, occ, config=config)
+        for dq, feasible in zip(dq_grid, flags):
+            if feasible:
+                exact = solve_saddle_symmetric_single(dq, tau, ell, occ, config=config, window=window)
+                rows.append((dq, exact.lambdas[0], dq / variance, 1, exact.regime))
+            else:
+                rows.append((dq, math.nan, math.nan, 0, "infeasible"))
     header = ["dq", "lambda_exact", "lambda_linearized", "feasible", "regime"]
     return _write_artifact(job, "saddle", header, rows, {"state": p["state"]})
 
@@ -212,7 +216,9 @@ def _cmd_average(job: JobSpec):
     ell, tau, t, m = p["ell"], p["tau"], p["t"], p.get("m", 1)
     config = job.quad()
     protocol = MeasurementProtocol(ell=ell, tau=tau, m=m, t=t)
-    analytic, breakdown = averaged_correction(protocol, state.occupation, config=config)
+    # the baseline, variance steps and classical term, integrated once for the job
+    terms = ProtocolTerms(protocol, state.occupation, config)
+    analytic, breakdown = averaged_correction(protocol, state.occupation, config=config, terms=terms)
     result = {"analytic_correction": analytic, "breakdown": breakdown}
     if p.get("samples"):
         dist = None
@@ -220,11 +226,10 @@ def _cmd_average(job: JobSpec):
             dist = neel_exact_distribution(tau, ell, m)
         mean, stderr = monte_carlo_average(
             protocol, state.occupation, int(p["samples"]), job.seed or 0,
-            distribution=dist, config=config,
+            distribution=dist, config=config, terms=terms,
         )
-        baseline = unmeasured_entropy(1.0, t, ell, state.occupation, config=config)
         result.update(
-            {"mc_mean": mean, "mc_stderr": stderr, "mc_correction": mean - baseline,
+            {"mc_mean": mean, "mc_stderr": stderr, "mc_correction": mean - terms.baseline,
              "n_samples": int(p["samples"])}
         )
     os.makedirs(job.out_dir, exist_ok=True)
@@ -279,11 +284,8 @@ def _cmd_fcs(job: JobSpec):
     ell, tau = p["ell"], p["tau"]
     # default: 41 points strictly inside the principal window [-pi, pi]
     betas = parse_grid(str(p.get("beta_grid", "-3.14:3.14:41")))
-    config = job.quad()
-    rows = []
-    for beta in betas:
-        value = fcs_generating_function(beta, tau, ell, state.occupation, config=config)
-        rows.append((beta, value.real, value.imag))
+    values = fcs_generating_function(np.array(betas), tau, ell, state.occupation, config=job.quad())
+    rows = [(beta, float(value.real), float(value.imag)) for beta, value in zip(betas, values)]
     return _write_artifact(job, "fcs", ["beta", "re", "im"], rows, {"state": p["state"]})
 
 

@@ -11,6 +11,7 @@ the value is omitted from the total and flagged.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -163,6 +164,12 @@ def log_n_correction(
         deltas = variance_steps(tau, m, ell, occ, config=config)
     except RegimeError:
         return None, LOGN_UNKNOWN
+    return _log_n_symmetric(t, tau, ell, occ, deltas, config)
+
+
+def _log_n_symmetric(t, tau, ell, occ, deltas, config):
+    """`log_n_correction` of a symmetric state, given its `variance_steps`."""
+    m = len(deltas)
     if t <= ell / 2 + 1e-12:
         value = sum(-0.5 * math.log(2 * math.pi * d) for d in deltas)
         return value, "symmetric-small-time"
@@ -210,6 +217,10 @@ def _quantum_integral(chi, tilt, occ, config):
     """(1/2pi) int dk chi(k) (s[n tilted by tilt] - s[n]), chi a
     `CountingFunction` whose kinks split the quadrature panels.
 
+    ``tilt`` is a number, giving ``(value, error)`` floats, or an array of
+    tilts, giving arrays: every nonzero tilt is one component of a single
+    batched integral, and a zero tilt gives exactly (0.0, 0.0).
+
     The entropy difference is formed without subtracting two O(1)
     entropies: with x = tilt and n_x the tilted occupation,
 
@@ -221,25 +232,31 @@ def _quantum_integral(chi, tilt, occ, config):
     n = 1/2), so the integrand reports chi times their summed magnitude as
     the term size that sets the quadrature noise floor (see `integrate`).
     """
-    if tilt == 0.0:
-        return 0.0, 0.0
-    growth = math.expm1(tilt)
+    tilts = np.asarray(tilt, dtype=float)
+    values, errors = np.zeros(tilts.shape), np.zeros(tilts.shape)
+    live = tilts != 0.0
+    if live.any():
+        x = tilts[live][:, None]
+        growth = np.array([math.expm1(t) for t in tilts[live]])[:, None]
 
-    def integrand(k):
-        n = np.clip(occ.evaluate(k), 0.0, 1.0)
-        shift = n * (1.0 - n) * growth / (1.0 + n * growth)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # n in {0, 1} cannot move (shift == 0): the term is 0, not 0 * inf
-            bias = np.where(shift == 0.0, 0.0, shift * (np.log(n) - np.log1p(-n)))
-        log_term = np.log1p(n * growth)
-        tilt_term = (n + shift) * tilt
-        chi_k = chi(k)
-        return (
-            chi_k * (log_term - tilt_term - bias),
-            chi_k * (np.abs(log_term) + np.abs(tilt_term) + np.abs(bias)),
-        )
+        def integrand(k):
+            n = np.clip(occ.evaluate(k), 0.0, 1.0)
+            shift = n * (1.0 - n) * growth / (1.0 + n * growth)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # n in {0, 1} cannot move (shift == 0): the term is 0, not 0 * inf
+                bias = np.where(shift == 0.0, 0.0, shift * (np.log(n) - np.log1p(-n)))
+            log_term = np.log1p(n * growth)
+            tilt_term = (n + shift) * x
+            chi_k = chi(k)
+            return (
+                chi_k * (log_term - tilt_term - bias),
+                chi_k * (np.abs(log_term) + np.abs(tilt_term) + np.abs(bias)),
+            )
 
-    return momentum_integral(integrand, kinks=chi.kinks, config=config)
+        values[live], errors[live] = momentum_integral(integrand, kinks=chi.kinks, config=config)
+    if tilts.ndim == 0:
+        return float(values), float(errors)
+    return values, errors
 
 
 def _measured_report(protocol, occ, terms, sol, classical, config, **diagnostics):
@@ -358,24 +375,59 @@ def entropy_squeezed_double(
 # ---------------------------------------------------------------------------
 
 
-def averaged_correction(protocol: MeasurementProtocol, occ: OccupationFunction, config=DEFAULT_CONFIG):
+class ProtocolTerms:
+    """The outcome-independent terms of every symmetric-state report of one
+    protocol: the unmeasured baseline, the `variance_steps` and the
+    classical `log_n_correction`.  Each is integrated once, when first read,
+    so that the analytic average and a Monte-Carlo run of one job share
+    them."""
+
+    def __init__(self, protocol: MeasurementProtocol, occ: OccupationFunction, config=DEFAULT_CONFIG):
+        self.protocol, self.occ, self.config = protocol, occ, config
+
+    @functools.cached_property
+    def baseline(self) -> float:
+        p = self.protocol
+        return unmeasured_entropy(1.0, p.t, p.ell, self.occ, config=self.config)
+
+    @functools.cached_property
+    def steps(self) -> tuple[float, ...]:
+        p = self.protocol
+        return variance_steps(p.tau, p.m, p.ell, self.occ, config=self.config)
+
+    @functools.cached_property
+    def classical(self) -> tuple[float | None, str]:
+        """``(value, tag)`` of `log_n_correction`; raises `RegimeError` where
+        no convention is known."""
+        p = self.protocol
+        try:
+            value, tag = _log_n_symmetric(p.t, p.tau, p.ell, self.occ, self.steps, self.config)
+        except RegimeError:  # the variance saturated between two steps
+            value, tag = None, LOGN_UNKNOWN
+        if value is None:
+            raise RegimeError(f"no log-prefactor convention for this regime ({tag})")
+        return value, tag
+
+
+def averaged_correction(
+    protocol: MeasurementProtocol, occ: OccupationFunction, config=DEFAULT_CONFIG, terms=None
+):
     """Analytic outcome average of (entropy - baseline) for symmetric states.
 
     Gaussian outcome statistics and the quadratic expansion of the pair
     entropy give, per measurement, the log-prefactor plus an O(1)
     configuration term; inside the light cone the measurement period drops
-    out of the latter entirely.
+    out of the latter entirely.  ``terms``, the protocol's `ProtocolTerms`,
+    is built here unless given.
     Returns ``(value, breakdown)``.
     """
     if occ.pairing is not Pairing.SYMMETRIC_PARTICLE_HOLE:
         raise RegimeError("analytic outcome averages are available for symmetric states")
     t, tau, ell, m = protocol.t, protocol.tau, protocol.ell, protocol.m
-
-    classical, tag = log_n_correction(t, tau, ell, occ, m=m, config=config)
-    if classical is None:
-        raise RegimeError(f"no log-prefactor convention for this regime ({tag})")
-
-    (sigma_tau,) = variance_steps(tau, 1, ell, occ, config=config)
+    if terms is None:
+        terms = ProtocolTerms(protocol, occ, config)
+    classical, tag = terms.classical
+    sigma_tau = terms.steps[0]
     if m == 1:
         sigma_t = variance_symmetric(t, ell, occ, config=config)
         sigma_tmtau = variance_symmetric(t - tau, ell, occ, config=config)

@@ -53,37 +53,49 @@ class GeometrySpec:
 # ---------------------------------------------------------------------------
 
 
-def _log_branch_symmetric(beta, n):
-    # log(n e^{i b/2} + (1-n) e^{-i b/2}) = log(cos(b/2) + i (2n-1) sin(b/2));
-    # the real part of the argument is >= 0 on |beta| <= pi so the principal
-    # branch is continuous along sweeps.  |z|^2 = 1 - 4n(1-n) sin^2(b/2) is
-    # evaluated with log1p to keep relative accuracy at small beta, and as
-    # cos^2(b/2) + ((2n-1) sin(b/2))^2 beyond pi/2, where the log1p argument
-    # rounds to -1 at n = 1/2 and beta = +-pi although |z| > 0 there.
-    half = beta / 2.0
-    if abs(beta) <= math.pi / 2:
-        re = 0.5 * np.log1p(-4.0 * n * (1.0 - n) * np.sin(half) ** 2)
-    else:
-        re = 0.5 * np.log(math.cos(half) ** 2 + ((2 * n - 1) * math.sin(half)) ** 2)
-    im = np.arctan2((2 * n - 1) * np.sin(half), np.cos(half))
-    return re + 1j * im
+def _log_modulus(beta, n):
+    # log|n e^{i b/2} + (1-n) e^{-i b/2}| = log|n e^{i b} + 1 - n|, one row per
+    # beta: |z|^2 = 1 - 4n(1-n) sin^2(b/2) is evaluated with log1p to keep
+    # relative accuracy at small beta, and as cos^2(b/2) + ((2n-1) sin(b/2))^2
+    # beyond pi/2, where the log1p argument rounds to -1 as n -> 1/2 and
+    # beta -> +-pi although |z| > 0 there; each form only on its own betas.
+    half = beta[:, None] / 2.0
+    sin = np.sin(half)
+    wide = np.abs(beta) > math.pi / 2
+    out = np.empty((len(beta), len(n)))
+    out[~wide] = 0.5 * np.log1p(-4.0 * n * (1.0 - n) * sin[~wide] ** 2)
+    out[wide] = 0.5 * np.log(np.cos(half[wide]) ** 2 + ((2 * n - 1) * sin[wide]) ** 2)
+    return out
 
 
-def _log_branch_double(beta, n):
-    # log(n e^{2 i b} + 1 - n) = i b + log(cos b + i (2n-1) sin b): the
-    # explicit i*b factor removes the winding for n > 1/2, leaving a
-    # principal-branch-safe remainder for every n != 1/2 on |beta| < pi.
-    # For |beta| > pi/2 it jumps by 2 pi i where n = 1/2 (see
+def _log_symmetric(beta, n):
+    # (re, im) of log(n e^{i b/2} + (1-n) e^{-i b/2}) = log(cos(b/2) + i (2n-1)
+    # sin(b/2)): the real part of the argument is >= 0 on |beta| <= pi, so the
+    # principal branch is continuous along sweeps.
+    half = beta[:, None] / 2.0
+    return _log_modulus(beta, n), np.arctan2((2 * n - 1) * np.sin(half), np.cos(half))
+
+
+def _log_double(beta, n):
+    # (re, im) of log(n e^{2 i b} + 1 - n) = i b + log(cos b + i (2n-1) sin b):
+    # the explicit i*b factor removes the winding for n > 1/2, leaving a
+    # principal-branch-safe remainder for every n != 1/2 on |beta| < pi.  For
+    # |beta| > pi/2 it jumps by 2 pi i where n = 1/2 (see
     # `OccupationFunction.half_filling_momenta`), and near |beta| = pi/2 it
     # peaks there.
-    re = 0.5 * np.log1p(-4.0 * n * (1.0 - n) * np.sin(beta) ** 2)
-    im = beta + np.arctan2((2 * n - 1) * np.sin(beta), np.cos(beta))
-    return re + 1j * im
+    b = beta[:, None]
+    return _log_modulus(2.0 * beta, n), b + np.arctan2((2 * n - 1) * np.sin(b), np.cos(b))
 
 
-def fcs_generating_function(
-    beta, tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG
-) -> complex:
+def _log_single(beta, n):
+    # (re, im) of log(n e^{i beta} + 1 - n): the curve only reaches the
+    # negative real axis at beta = +-pi (n > 1/2), so the principal branch is
+    # continuous for |beta| < pi.
+    b = beta[:, None]
+    return _log_modulus(beta, n), np.arctan2(n * np.sin(b), (1.0 - n) + n * np.cos(b))
+
+
+def fcs_generating_function(beta, tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG):
     """Cumulant generating function of the subsystem charge at time tau.
 
     Valid for tau < ell/2 (light cone).  Symmetric pairing:
@@ -97,50 +109,49 @@ def fcs_generating_function(
              + tau (1/2pi) int dk |v_k|
                log[(n e^{i b} + 1 - n)^2 / (n e^{2 i b} + 1 - n)].
 
+    ``beta`` is a number, giving a complex, or an array of them, giving a
+    complex array; the real and imaginary parts of every nonzero beta are
+    one batch of integrals on shared panels, and beta = 0 gives exactly 0.
     Branches are continuous along beta in [-pi, pi] by construction.
     """
-    if not -math.pi <= beta <= math.pi:
+    betas = np.asarray(beta, dtype=float)
+    if not np.all(np.abs(betas) <= math.pi):
         raise ValueError("counting field restricted to the principal window [-pi, pi]")
     if tau >= ell / 2:
         raise RegimeError("closed-form FCS requires tau < ell/2")
-    if beta == 0.0:
-        return 0.0 + 0.0j
+    values = np.zeros(betas.shape, dtype=complex)
+    live = betas != 0.0
+    b = betas[live]
+    if len(b):
+        symmetric = occ.pairing is Pairing.SYMMETRIC_PARTICLE_HOLE
 
-    # at |beta| = pi the pair terms have log singularities where n = 1/2
-    kinks = occ.half_filling_momenta
-    if occ.pairing is Pairing.SYMMETRIC_PARTICLE_HOLE:
+        def integrand(k):
+            # rows: the real part at every beta, then the imaginary part,
+            # built in place (the batch's temporaries set the peak memory)
+            n = np.asarray(occ.evaluate(k), dtype=float)
+            velocity = np.abs(np.sin(k))
+            out = np.empty((2, len(b), len(n)))
+            if symmetric:
+                for row, part in zip(out, _log_symmetric(b, n)):
+                    np.multiply(velocity, part, out=row)
+            else:
+                # (ell/2 - tau |v|) pair + 2 tau |v| single, one term at a time
+                for row, pair in zip(out, _log_double(b, n)):
+                    np.multiply(ell / 2.0 - tau * velocity, pair, out=row)
+                for row, single in zip(out, _log_single(b, n)):
+                    row += 2.0 * tau * velocity * single
+            return out.reshape(2 * len(b), len(n))
 
-        def real_part(k):
-            return np.real(np.abs(np.sin(k)) * _log_branch_symmetric(beta, occ.evaluate(k)))
-
-        def imag_part(k):
-            return np.imag(np.abs(np.sin(k)) * _log_branch_symmetric(beta, occ.evaluate(k)))
-
-        re, _ = momentum_integral(real_part, kinks=kinks, config=config)
-        im, _ = momentum_integral(imag_part, kinks=kinks, config=config)
-        return 1j * beta * ell / 2.0 + 2.0 * tau * (re + 1j * im)
-
-    def integrand(k, part):
-        n = np.asarray(occ.evaluate(k), dtype=float)
-        pair_term = _log_branch_double(beta, n)
-        single_term = _log_single(beta, n)
-        value = (ell / 2.0) * pair_term + tau * np.abs(np.sin(k)) * (
-            2.0 * single_term - pair_term
-        )
-        return np.real(value) if part == "re" else np.imag(value)
-
-    re, _ = momentum_integral(lambda k: integrand(k, "re"), kinks=kinks, config=config)
-    im, _ = momentum_integral(lambda k: integrand(k, "im"), kinks=kinks, config=config)
-    return re + 1j * im
-
-
-def _log_single(beta, n):
-    # log(n e^{i beta} + 1 - n): |z|^2 = 1 - 4n(1-n) sin^2(beta/2); the curve
-    # only reaches the negative real axis at beta = +-pi (n > 1/2), so the
-    # principal branch is continuous for |beta| < pi.
-    re = 0.5 * np.log1p(-4.0 * n * (1.0 - n) * np.sin(beta / 2.0) ** 2)
-    im = np.arctan2(n * np.sin(beta), (1.0 - n) + n * np.cos(beta))
-    return re + 1j * im
+        # |sin k| kinks at k = 0; at |beta| = pi the pair terms have log
+        # singularities where n = 1/2
+        kinks = (0.0, *occ.half_filling_momenta)
+        parts, _ = momentum_integral(integrand, kinks=kinks, config=config)
+        re, im = parts[:len(b)], parts[len(b):]
+        if symmetric:
+            values[live] = 1j * b * ell / 2.0 + 2.0 * tau * (re + 1j * im)
+        else:
+            values[live] = re + 1j * im
+    return complex(values) if values.ndim == 0 else values
 
 
 # ---------------------------------------------------------------------------

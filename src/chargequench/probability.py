@@ -19,11 +19,10 @@ import numpy as np
 from .counting import MeasurementProtocol, counting_function, shared_suffix_classes
 from .entropy import (
     EntropyReport,
+    ProtocolTerms,
     _quantum_integral,
     entropy_squeezed_double,
     entropy_squeezed_single,
-    log_n_correction,
-    unmeasured_entropy,
 )
 from .errors import FeasibilityError, RegimeError
 from .fluctuations import drude_weight, variance_squeezed, variance_steps
@@ -196,6 +195,7 @@ def monte_carlo_average(
     seed: int,
     distribution: OutcomeDistribution | None = None,
     config=DEFAULT_CONFIG,
+    terms: ProtocolTerms | None = None,
 ):
     """Outcome-averaged total entropy: ``(mean, stderr)``.
 
@@ -205,50 +205,56 @@ def monte_carlo_average(
     distinct outcomes; a distribution with a single outcome therefore gives
     exactly that outcome's total and a standard error of exactly 0.
     Symmetric multi-measurement corrections are additive over steps with
-    each step depending only on its own charge increment, which keeps the
-    per-step cache small.
+    each step depending only on its own charge increment: every distinct
+    (step, increment) is solved once, and the corrections of one counting
+    function are one batched integral.  ``terms``, the protocol's
+    `ProtocolTerms` (symmetric states), is built here unless given.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
     if occ.pairing is Pairing.SYMMETRIC_PARTICLE_HOLE:
-        return _mc_symmetric(protocol, occ, samples, seed, distribution, config)
+        if terms is None:
+            terms = ProtocolTerms(protocol, occ, config)
+        return _mc_symmetric(protocol, occ, samples, seed, distribution, terms, config)
     return _mc_squeezed(protocol, occ, samples, seed, distribution, config)
 
 
-def _mc_symmetric(protocol, occ, samples, seed, distribution, config):
+def _mc_symmetric(protocol, occ, samples, seed, distribution, terms, config):
     t, tau, ell, m = protocol.t, protocol.tau, protocol.ell, protocol.m
-    dist = distribution or chain_distribution(tau, m, ell, occ, config=config)
+    classical, tag = terms.classical
+    window = charge_window(tau, ell, config=config)
+    # the chain_distribution, from the shared variance steps
+    dist = distribution or OutcomeDistribution(KIND_GAUSSIAN, ell / 2.0, terms.steps, tau, ell, window)
     rows, counts = _distinct_draws(seed, dist, samples)
     increments = np.diff(np.hstack([np.full((len(rows), 1), ell / 2.0), rows]), axis=1)
-    window = _check_window(np.max(np.abs(increments), axis=0), tau, ell, occ.pairing, config)
-    baseline = unmeasured_entropy(1.0, t, ell, occ, config=config)
-    classical, tag = log_n_correction(t, tau, ell, occ, m=m, config=config)
-    if classical is None:
-        raise RegimeError(f"no log-prefactor convention for this regime ({tag})")
+    _check_window(np.max(np.abs(increments), axis=0), window, tau, ell, occ.pairing)
 
     # Inside the light cone (2t <= ell) every step's chi is 2|v_k| tau, so all
     # steps with the same charge increment share step 1's correction.
     light_cone = 2 * t <= ell
     chis = {l: counting_function(shared_suffix_classes(l, m), protocol)
             for l in ((1,) if light_cone else range(1, m + 1))}
-    if m > 1:
-        # the linearised chain: step l's tilt is dq_l / (its variance step)
-        steps = variance_steps(tau, m, ell, occ, config=config)
 
-    cache: dict = {}
+    def key(l, dq):
+        return (1 if light_cone else l, float(dq))
 
-    def step_correction(l, dq):
-        step = 1 if light_cone else l
-        key = (step, float(dq))
-        if key not in cache:
-            lam = _saddle_root(dq, window, tau, ell, occ, config) if m == 1 else dq / steps[step - 1]
-            cache[key], _ = _quantum_integral(chis[step], lam, occ, config)
-        return cache[key]
+    def tilt(step, dq):
+        # m = 1 solves the exact saddle; the linearised chain's step l has
+        # tilt dq_l / (its variance step)
+        return _saddle_root(dq, window, tau, ell, occ, config) if m == 1 else dq / terms.steps[step - 1]
+
+    keys = sorted({key(l, dq) for row in increments for l, dq in enumerate(row, 1)})
+    tilts = {k: tilt(*k) for k in keys}
+    corrections = {}
+    for step, chi in chis.items():
+        group = [k for k in keys if k[0] == step]
+        values, _ = _quantum_integral(chi, np.array([tilts[k] for k in group]), occ, config)
+        corrections.update(zip(group, values.tolist()))
 
     totals = [
         EntropyReport.assemble(
-            baseline,
-            [(f"chi[1,{l}]_AAbar", step_correction(l, dq)) for l, dq in enumerate(row, 1)],
+            terms.baseline,
+            [(f"chi[1,{l}]_AAbar", corrections[key(l, dq)]) for l, dq in enumerate(row, 1)],
             tag,
             classical,
             {},

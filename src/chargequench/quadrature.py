@@ -10,6 +10,12 @@ the panels with the largest errors are halved (as in QUADPACK ``qags``), so
 that a log singularity, an unmarked jump or a narrow feature is refined where
 it sits instead of being asked to converge on its own share of the tolerance.
 The total number of panels is bounded.
+
+An integrand may also return an (M, N) array for N nodes: a batch of M
+integrals (say, an FCS grid of counting fields, or the quantum corrections
+of many outcomes) on shared panels, in one adaptive loop with one call of the
+integrand per pass.  Each component keeps its own error budget; a pass
+halves the union of the panels its failing components would halve alone.
 """
 
 from __future__ import annotations
@@ -48,71 +54,124 @@ def _gauss_legendre():
 
 
 def _rules(f, lo, hi):
-    """(rule on each panel [lo_i, hi_i], largest term size), one call of ``f``."""
+    """One call of ``f`` on the nodes of every panel [lo_i, hi_i]: the rules as
+    an (M, P) array, each component's largest term size, and whether ``f``
+    returned a batch of M components."""
     x, w = _gauss_legendre()
     half = 0.5 * (hi - lo)
     nodes = half[:, None] * x + (0.5 * (lo + hi))[:, None]
     out = f(nodes.ravel())
     values, sizes = out if isinstance(out, tuple) else (out, out)
-    values = np.asarray(values, dtype=float).reshape(nodes.shape)
-    rules = np.array([h * float(np.dot(w, row)) for h, row in zip(half, values)])
-    return rules, float(np.max(np.abs(sizes)))
+    values = np.asarray(values, dtype=float)
+    # one batched dot, bit for bit the per-panel float(np.dot(w, row))
+    rules = half * np.vecdot(values.reshape(-1, *nodes.shape), w)
+    peaks = np.abs(sizes).reshape(len(rules), -1).max(axis=1).tolist()
+    return rules, peaks, values.ndim == 2
 
 
 def integrate(f, a, b, kinks=(), config=DEFAULT_CONFIG):
-    """Integrate vectorised ``f`` over [a, b].
+    """Integrate vectorised ``f``, or a batch of M integrands, over [a, b].
 
-    Returns ``(value, error_estimate)``.  ``kinks`` are interior points where
-    the integrand is continuous but not smooth; they become panel edges.
+    ``f`` maps N nodes to values of shape (N,), or (M, N) for a batch that
+    shares the panels; it may instead return a ``(values, sizes)`` pair of
+    the same shape.  Returns ``(value, error_estimate)``: floats for (N,)
+    values, arrays of shape (M,) for a batch.  ``kinks`` are interior points
+    where the integrands are continuous but not smooth; they become panel
+    edges.
 
-    The integral is accepted once the summed panel error falls below
-    ``max(rtol * sum |panel|, 30 eps peak (b - a))``, where ``peak`` is the
-    largest term size seen at any node.  An integrand whose value is a
-    cancelling sum of larger terms returns ``(values, sizes)`` with ``sizes``
-    the magnitude of those terms, so that the floor matches the rounding
-    noise of the sum rather than the (much smaller) size of the sum itself.
-    Otherwise the fewest worst panels whose errors cover the excess over half
-    the budget are halved, in one call of ``f``; a panel's half rules become
-    its children's coarse rules.  Exact zeros stay exact.
+    Each component is accepted once its summed panel error falls below its
+    own ``max(rtol * sum |panel|, 30 eps peak (b - a))``, where ``peak`` is
+    the component's largest term size seen at any node.  An integrand whose
+    value is a cancelling sum of larger terms returns ``(values, sizes)``
+    with ``sizes`` the magnitude of those terms, so that the floor matches
+    the rounding noise of the sum rather than the (much smaller) size of the
+    sum itself.  Otherwise each failing component's fewest worst panels
+    whose errors cover its excess over half its budget are halved, all of
+    them in one call of ``f``; a panel's half rules become its children's
+    coarse rules.  A batch of one is the scalar integral bit for bit, and
+    exact zeros stay exact.
     """
     if b <= a:
         return 0.0, 0.0
     points = np.array(sorted({a, b, *(p for p in kinks if a < p < b)}), dtype=float)
     lo, mid, hi = points[:-1], 0.5 * (points[:-1] + points[1:]), points[1:]
-    rules, peak = _rules(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
-    panels = np.vstack([lo, hi, *np.split(rules, 3)])
+    rules, peak, batched = _rules(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
+    m, n = len(rules), len(lo)
+    # one column per panel; rows: lo, hi, then the coarse rules of every
+    # component, their left-half rules, their right-half rules
+    panels = np.concatenate([lo[None], hi[None], rules[:, :n], rules[:, n:2 * n], rules[:, 2 * n:]])
+    floors = [_NOISE * p * (b - a) for p in peak]
     while True:
-        lo, hi, coarse, left, right = panels
+        lo, hi = panels[0], panels[1]
+        coarse, left, right = panels[2:2 + m], panels[2 + m:2 + 2 * m], panels[2 + 2 * m:]
         fine = left + right
         errs = np.abs(fine - coarse)
-        err = float(np.sum(errs))
-        if not math.isfinite(err):
-            i = np.argmax(~np.isfinite(errs))
-            raise QuadratureError(f"panel [{lo[i]}, {hi[i]}] gives a non-finite value", achieved=err)
-        budget = max(config.rtol * float(np.sum(np.abs(fine))), _NOISE * peak * (b - a))
-        if err <= budget:
-            break
-        order = np.argsort(errs)[::-1]
-        count = int(np.searchsorted(np.cumsum(errs[order]), err - 0.5 * budget)) + 1
-        if panels.shape[1] + count > MAX_PANELS:
-            i = order[0]
+        # per component, as floats: few components are cheaper in Python
+        err = errs.sum(axis=1).tolist()
+        if not all(map(math.isfinite, err)):
+            c = next(c for c, e in enumerate(err) if not math.isfinite(e))
+            i = np.argmax(~np.isfinite(errs[c]))
             raise QuadratureError(
-                f"panel [{lo[i]}, {hi[i]}] did not converge (residual {errs[i]:.3e}; error "
-                f"{err:.3e} over budget {budget:.3e} at {panels.shape[1]} panels)", achieved=err)
-        split = order[:count]
+                f"panel [{lo[i]}, {hi[i]}] gives a non-finite value{_component(c, batched)}",
+                achieved=err[c])
+        sizes = np.abs(fine).sum(axis=1).tolist()
+        budget = [max(config.rtol * size, floor) for size, floor in zip(sizes, floors)]
+        fail = [c for c in range(m) if not err[c] <= budget[c]]
+        if not fail:
+            break
+        # each failing component's fewest worst panels whose errors cover its
+        # excess over half its budget, worst first, component by component;
+        # each panel once
+        excess = [err[c] - 0.5 * budget[c] for c in fail]
+        if len(fail) == 1:  # the common case, in one dimension
+            (c,) = fail
+            order = np.argsort(errs[c])[::-1]
+            split = order[:int(np.searchsorted(np.cumsum(errs[c][order]), excess[0])) + 1]
+            worst = c, order[0]
+        else:
+            order = np.argsort(errs[fail], axis=1)[:, ::-1]
+            covered = errs[np.array(fail)[:, None], order].cumsum(axis=1)
+            chosen = np.ones(order.shape, dtype=bool)
+            chosen[:, 1:] = covered[:, :-1] < np.array(excess)[:, None]
+            split = order[chosen]
+            split = split[np.sort(np.unique(split, return_index=True)[1])]
+            worst = fail[0], order[0, 0]
+        halved = len(split)
+        if panels.shape[1] + halved > MAX_PANELS:
+            c, i = worst
+            raise QuadratureError(
+                f"panel [{lo[i]}, {hi[i]}] did not converge{_component(c, batched)} (residual "
+                f"{errs[c, i]:.3e}; error {err[c]:.3e} over budget {budget[c]:.3e} at "
+                f"{panels.shape[1]} panels)", achieved=err[c])
         s_lo, s_hi = lo[split], hi[split]
         s_mid = 0.5 * (s_lo + s_hi)
         q_lo, q_hi = 0.5 * (s_lo + s_mid), 0.5 * (s_mid + s_hi)
-        quarters, batch_peak = _rules(f, np.concatenate([s_lo, q_lo, s_mid, q_hi]),
-                                      np.concatenate([q_lo, s_mid, q_hi, s_hi]))
-        peak = max(peak, batch_peak)
-        ll, lr, rl, rr = np.split(quarters, 4)
-        children = [[s_lo, s_mid, left[split], ll, lr], [s_mid, s_hi, right[split], rl, rr]]
-        panels = np.hstack([np.delete(panels, split, axis=1), *children])
-    total = 0.0
-    for value in fine[np.argsort(lo)].tolist():
-        total += value
-    return total, err
+        # the children's first halves, left children first, then their second halves
+        ends_lo = np.concatenate([s_lo, s_mid, q_lo, q_hi])
+        ends_hi = np.concatenate([q_lo, q_hi, s_mid, s_hi])
+        quarters, peak, _ = _rules(f, ends_lo, ends_hi)
+        floors = [max(floor, _NOISE * p * (b - a)) for floor, p in zip(floors, peak)]
+        keep = np.ones(panels.shape[1], dtype=bool)
+        keep[split] = False
+        # the kept panels in their order, then the left children, then the right
+        children = np.concatenate([
+            ends_lo[None, :2 * halved], ends_hi[None, 2 * halved:],
+            np.concatenate([left[:, split], right[:, split]], axis=1),
+            quarters[:, :2 * halved], quarters[:, 2 * halved:],
+        ])
+        panels = np.concatenate([panels[:, keep], children], axis=1)
+    # each component's sequential sum over the panels in order of k
+    totals = []
+    for row in fine[:, np.argsort(lo)].tolist():
+        total = 0.0
+        for value in row:
+            total += value
+        totals.append(total)
+    return (np.array(totals), np.array(err)) if batched else (totals[0], err[0])
+
+
+def _component(c, batched):
+    return f" in component {c}" if batched else ""
 
 
 def velocity_kinks(critical_velocities):

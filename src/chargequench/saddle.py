@@ -71,23 +71,28 @@ def feasibility(dq_seq, tau: float, ell: float, pairing: Pairing, config=DEFAULT
     period.  Squeezed states: the first step always succeeds; the rest obey
     the same bound (the first projection pins the subsystem charge).
     """
+    return _feasible_window(dq_seq, tau, ell, pairing, config)[1]
+
+
+def _feasible_window(dq_seq, tau, ell, pairing, config):
+    """The `charge_window` and the flags of `feasibility`."""
     if tau <= 0:
         raise ValueError("feasibility needs tau > 0")
-    return _window_flags(dq_seq, tau, ell, pairing, config)[1]
-
-
-def _window_flags(dq_seq, tau, ell, pairing, config):
-    """The `charge_window` and the per-step flags of `feasibility`."""
     window = charge_window(tau, ell, config=config)
-    return window, tuple(
+    return window, _window_flags(dq_seq, window, pairing)
+
+
+def _window_flags(dq_seq, window, pairing):
+    """|dq| < window for each step, the first step of a squeezed state exempt."""
+    return tuple(
         (pairing is Pairing.SQUEEZED_PAIR and i == 0) or abs(dq) < window
         for i, dq in enumerate(dq_seq)
     )
 
 
-def _check_window(dq_seq, tau, ell, pairing, config) -> float:
-    """The `charge_window`; raises `FeasibilityError` at the first step `feasibility` flags."""
-    window, flags = _window_flags(dq_seq, tau, ell, pairing, config)
+def _check_window(dq_seq, window, tau, ell, pairing) -> None:
+    """Raises `FeasibilityError` at the first step `_window_flags` flags."""
+    flags = _window_flags(dq_seq, window, pairing)
     if not all(flags):
         i = flags.index(False)
         raise FeasibilityError(
@@ -95,7 +100,6 @@ def _check_window(dq_seq, tau, ell, pairing, config) -> float:
             f"(tau = {tau:g}, ell = {ell:g})",
             step=i + 1,
         )
-    return window
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +126,7 @@ def modified_occupation(n, lam: float, weight: int = 1):
 
 
 def solve_saddle_symmetric_single(
-    dq, tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG
+    dq, tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG, window=None
 ) -> SaddleSolution:
     """Single-measurement multiplier for a symmetric state.
 
@@ -132,11 +136,14 @@ def solve_saddle_symmetric_single(
     of 0; every residual narrows that bracket, and a step that leaves it or
     |lam| <= 300, or a slope <= 0, is replaced by the midpoint, or by doubling
     lam while the far side is open.  A root beyond |lam| = 300 raises
-    `RegimeError`.  Its linearisation is ``dq / sigma_tau^2``.
+    `RegimeError`.  Its linearisation is ``dq / sigma_tau^2``.  ``window``
+    is the `charge_window` of (tau, ell), integrated here unless given.
     """
     if occ.pairing is not Pairing.SYMMETRIC_PARTICLE_HOLE:
         raise ValueError("use solve_saddle_squeezed for squeezed-pair states")
-    window = _check_window([dq], tau, ell, occ.pairing, config)
+    if window is None:
+        window = charge_window(tau, ell, config=config)
+    _check_window([dq], window, tau, ell, occ.pairing)
     regime = "symmetric-single"
     if abs(dq) > 0.99 * window:
         regime += ";saddle-unreliable"  # approximation degrades near the light cone
@@ -207,7 +214,7 @@ def solve_saddle_symmetric_multi(
     if occ.pairing is not Pairing.SYMMETRIC_PARTICLE_HOLE:
         raise ValueError("use solve_saddle_squeezed for squeezed-pair states")
     m = len(dq_seq)
-    _check_window(dq_seq, tau, ell, occ.pairing, config)
+    _check_window(dq_seq, charge_window(tau, ell, config=config), tau, ell, occ.pairing)
     steps = variance_steps(tau, m, ell, occ, config=config)
     suffix = [dq / step for dq, step in zip(dq_seq, steps)]
     lambdas = [suffix[l] - (suffix[l + 1] if l + 1 < m else 0.0) for l in range(m)]
@@ -240,7 +247,8 @@ def solve_saddle_squeezed(
             raise RegimeError("squeezed variance vanished; no fluctuations to measure")
         return SaddleSolution(((q_seq[0] - qbar) / sigma_tau2,), "linearized", "squeezed-single")
     dq2 = q_seq[1] - q_seq[0]
-    _check_window((q_seq[0] - qbar, dq2), tau, ell, occ.pairing, config)
+    window = charge_window(tau, ell, config=config)
+    _check_window((q_seq[0] - qbar, dq2), window, tau, ell, occ.pairing)
     sigma_2tau2 = variance_squeezed(2 * tau, ell, occ, config=config)
     sigma_inf2 = variance_saturated(ell, occ, config=config)
     denom = 2 * sigma_tau2 - sigma_inf2

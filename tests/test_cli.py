@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import chargequench
-from chargequench import cli
+from chargequench import cli, entropy, fluctuations, saddle
 from chargequench.cli import _COMMANDS, JobSpec, main
 
 # Every subcommand with only the arguments it needs; the defaults do the rest.
@@ -123,3 +124,44 @@ def test_parser_is_built_once_and_reads_the_outdir_per_call(tmp_path, monkeypatc
         assert main(argv) == 0, capsys.readouterr().err
         assert (tmp_path / name / "saddle.json").exists()
     assert cli._build_parser.cache_info().misses == 1
+
+
+def _count_calls(monkeypatch, *functions):
+    """Counts calls of each function under every name a chargequench module
+    binds it to."""
+    counts = collections.Counter()
+    modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("chargequench.") and m]
+    for func in functions:
+        def counted(*args, _func=func, **kwargs):
+            counts[_func.__name__] += 1
+            return _func(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+@pytest.mark.parametrize("m, quantum", [(1, 1), (3, 1)])
+def test_average_integrates_each_outcome_independent_term_once(m, quantum, tmp_path, monkeypatch, capsys):
+    # the analytic average and the Monte-Carlo run share one baseline, one
+    # window, one classical term and each variance once; inside the light
+    # cone every step shares one counting function, so all distinct outcomes
+    # are one batched quantum integral
+    counts = _count_calls(monkeypatch, fluctuations.variance_symmetric, saddle.charge_window,
+                          entropy.unmeasured_entropy, entropy._log_n_symmetric, entropy._quantum_integral)
+    argv = ["average", "--state", "dimer", "--ell", "40", "--tau", "6", "--t", "14" if m == 1 else "18",
+            "--m", str(m), "--samples", "200", "--seed", "3"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0, capsys.readouterr().err
+    assert counts == {"variance_symmetric": 3, "charge_window": 1, "unmeasured_entropy": 1,
+                      "_log_n_symmetric": 1, "_quantum_integral": quantum}
+
+
+def test_saddle_integrates_the_window_once_per_job(tmp_path, monkeypatch, capsys):
+    counts = _count_calls(monkeypatch, saddle.charge_window, fluctuations.variance_symmetric)
+    argv = ["saddle", "--state", "dimer", "--ell", "40", "--tau", "6", "--dq=-3:3"]
+    assert main([*argv, "--out", str(tmp_path), "--format", "json"]) == 0, capsys.readouterr().err
+    assert counts == {"charge_window": 1, "variance_symmetric": 1}
+    rows = json.loads((tmp_path / "saddle.json").read_text())["rows"]
+    assert [row[3] for row in rows] == [1] * 7 and rows[3][1] == 0.0

@@ -24,11 +24,11 @@ from chargequench.counting import (
     counting_function,
     counting_measure,
 )
-from chargequench.entropy import LOGN_UNKNOWN
+from chargequench.entropy import LOGN_UNKNOWN, _quantum_integral
 from chargequench.errors import FeasibilityError, RegimeError
 from chargequench.extensions import MEASURE_COMPLEMENT, MEASURE_DISJOINT
 from chargequench.fluctuations import variance_symmetric
-from chargequench.quadrature import momentum_integral
+from chargequench.quadrature import DEFAULT_CONFIG, momentum_integral
 from chargequench.saddle import modified_occupation, solve_saddle_squeezed
 from chargequench.states import pair_entropy
 
@@ -313,3 +313,22 @@ def test_every_report_kind_carries_the_same_diagnostics(neel, tilted_max):
         assert diag["logN_regime"] == rep.classical_correction[0]
         assert diag["quantum_quadrature_error"] >= 0.0
         assert len(diag["saddle"]["lambdas"]) >= 1
+
+
+def test_quantum_integral_takes_an_array_of_tilts(dimer):
+    # one batched integral: a tilt of 0 stays exactly (0.0, 0.0), a batch of
+    # one is the scalar call bit for bit, every other tilt meets the tolerance
+    # of its own call
+    protocol = MeasurementProtocol(ell=40.0, tau=6.0, m=1, t=14.0)
+    chi = counting_function([ConfigurationClass((1,), FINAL_SHARED, RIGHT_MOVER)], protocol)
+    occ = dimer.occupation
+    tilts = np.array([-1.3, 0.0, 0.2, 2.5])
+    values, errors = _quantum_integral(chi, tilts, occ, DEFAULT_CONFIG)
+    assert (values[1], errors[1]) == (0.0, 0.0)
+    assert _quantum_integral(chi, 0.0, occ, DEFAULT_CONFIG) == (0.0, 0.0)
+    (one,), (one_err,) = _quantum_integral(chi, tilts[2:3], occ, DEFAULT_CONFIG)
+    assert (one, one_err) == _quantum_integral(chi, 0.2, occ, DEFAULT_CONFIG)
+    for tilt, value in zip(tilts, values):
+        alone, _ = _quantum_integral(chi, float(tilt), occ, DEFAULT_CONFIG)
+        assert isinstance(alone, float)
+        assert value == pytest.approx(alone, rel=1e-10, abs=1e-14)

@@ -190,3 +190,36 @@ def test_fcs_sweep_finds_the_half_filling_momenta_once():
     assert len(scans) == 1
     fresh = [fcs_generating_function(b, 3.0, 40.0, get_state("tilted:1.1").occupation) for b in betas]
     assert values == fresh
+
+
+@pytest.mark.parametrize("name", ["neel", "dimer", "tilted:1.1", f"tilted:{math.pi / 2!r}"])
+def test_fcs_grid_equals_one_call_per_beta(name):
+    # a whole beta grid over [-pi, pi], the ends and beta = 0 included, is one
+    # batch on shared panels; each beta still meets the tolerance of its own call
+    occ = get_state(name).occupation
+    tau = 6.0 if occ.pairing.value.startswith("symmetric") else 3.0
+    betas = np.linspace(-math.pi, math.pi, 21)
+    grid = fcs_generating_function(betas, tau, 40.0, occ)
+    assert grid.shape == betas.shape and grid[10] == 0.0
+    for beta, value in zip(betas, grid):
+        alone = fcs_generating_function(beta, tau, 40.0, occ)
+        assert isinstance(alone, complex)
+        assert abs(value - alone) <= 1e-10 * abs(alone)
+
+
+def test_fcs_wide_tilted_grid_takes_few_integrand_calls():
+    # 41 betas, real and imaginary parts: one adaptive batch of a few passes
+    # (one n(k) evaluation each), not one adaptive integral per part and beta
+    base = get_state("tilted:1.1").occupation
+    calls = []
+
+    def evaluate(k):
+        calls.append(np.shape(k))
+        return base.evaluate(k)
+
+    occ = OccupationFunction(evaluate, base.pairing, base.label, base.mean_density)
+    occ.half_filling_momenta  # the n(k) = 1/2 scan, not an integrand call
+    calls.clear()
+    values = fcs_generating_function(np.linspace(-3.0, 3.0, 41), 3.0, 40.0, occ)
+    assert np.all(np.isfinite(values))
+    assert len(calls) <= 5, calls

@@ -68,3 +68,65 @@ def test_smooth_panels_are_the_sum_of_their_half_rules():
                   for lo, hi in ((a, mid), (mid, b))]
         total += halves[0] + halves[1]
     assert integrate(f, -math.pi, math.pi, kinks=kinks)[0] == total
+
+
+def _peaked(x):
+    # splits several times near x = 0.3, with reported term sizes
+    values = np.log(np.abs(x - 0.3)) + np.exp(x)
+    return values, np.abs(values) + 1.0
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: np.exp(np.sin(x)) * np.abs(np.sin(x)),
+    lambda x: np.log(np.abs(x - 0.3)),
+    _peaked,
+], ids=["smooth", "log", "sizes"])
+def test_a_batch_of_one_is_the_scalar_integral(f):
+    def batch(x):
+        out = f(x)
+        return tuple(part[None, :] for part in out) if isinstance(out, tuple) else out[None, :]
+
+    value, err = integrate(f, -1.0, 1.0, kinks=(0.0,))
+    values, errs = integrate(batch, -1.0, 1.0, kinks=(0.0,))
+    assert isinstance(value, float) and values.shape == errs.shape == (1,)
+    assert (values[0], errs[0]) == (value, err)
+
+
+def test_each_component_of_a_batch_meets_its_own_tolerance():
+    # three scales and shapes on shared panels: each is as close to its exact
+    # value, and to its own scalar integral, as the tolerance asks
+    parts = [
+        (lambda x: np.exp(x), math.e - 1 / math.e),
+        (lambda x: np.log(np.abs(x - 0.3)), 1.3 * math.log(1.3) + 0.7 * math.log(0.7) - 2.0),
+        (lambda x: 1e-6 * np.cos(40 * x), 1e-6 * math.sin(40.0) / 20),
+    ]
+    values, errs = integrate(lambda x: np.array([g(x) for g, _ in parts]), -1.0, 1.0)
+    assert values.shape == errs.shape == (3,)
+    for (g, exact), value, err in zip(parts, values, errs):
+        alone, _ = integrate(g, -1.0, 1.0)
+        assert value == pytest.approx(alone, rel=1e-10)
+        assert value == pytest.approx(exact, rel=1e-10)
+        assert err <= 1e-10 * abs(exact)
+
+
+def test_a_zero_component_stays_exactly_zero():
+    values, errs = integrate(lambda x: np.array([np.zeros_like(x), np.log(np.abs(x - 0.3))]), -1.0, 1.0)
+    assert (values[0], errs[0]) == (0.0, 0.0)
+    assert values[1] == pytest.approx(1.3 * math.log(1.3) + 0.7 * math.log(0.7) - 2.0, rel=1e-10)
+
+
+def test_nan_names_the_panel_and_the_component():
+    with pytest.raises(QuadratureError, match=r"panel \[0\.5, 1\.0\] gives a non-finite value in component 1"):
+        integrate(lambda x: np.array([x, np.where(x > 0.5, np.nan, x)]), -1.0, 1.0, kinks=(0.5,))
+
+
+def test_a_noisy_batch_is_refused_within_the_work_bound():
+    calls = []
+
+    def noisy(x):
+        calls.append(len(x))
+        return np.array([np.exp(x), 1e-16 * np.sin(1e9 * x + 1.0)])
+
+    with pytest.raises(QuadratureError, match="in component 1"):
+        integrate(noisy, -math.pi, math.pi)
+    assert sum(calls) <= 4 * MAX_PANELS * NODES
