@@ -70,11 +70,14 @@ def squeezed_single_distribution(tau, ell, occ, qbar, config=DEFAULT_CONFIG):
     )
 
 
-def chain_distribution(tau, m, ell, occ, config=DEFAULT_CONFIG):
+def chain_distribution(tau, m, ell, occ, config=DEFAULT_CONFIG, *, steps=None, window=None):
     """Gaussian law of m outcomes on a symmetric state: steps of the
-    `variance_steps`, each inside the `charge_window`."""
-    steps = variance_steps(tau, m, ell, occ, config=config)
-    window = charge_window(tau, ell, config=config)
+    `variance_steps`, each inside the `charge_window`.  ``steps`` and
+    ``window``, where the caller has them, are not integrated again."""
+    if steps is None:
+        steps = variance_steps(tau, m, ell, occ, config=config)
+    if window is None:
+        window = charge_window(tau, ell, config=config)
     return OutcomeDistribution(KIND_GAUSSIAN, ell / 2.0, steps, tau, ell, window)
 
 
@@ -223,8 +226,7 @@ def _mc_symmetric(protocol, occ, samples, seed, distribution, terms, config):
     t, tau, ell, m = protocol.t, protocol.tau, protocol.ell, protocol.m
     classical, tag = terms.classical
     window = charge_window(tau, ell, config=config)
-    # the chain_distribution, from the shared variance steps
-    dist = distribution or OutcomeDistribution(KIND_GAUSSIAN, ell / 2.0, terms.steps, tau, ell, window)
+    dist = distribution or chain_distribution(tau, m, ell, occ, config, steps=terms.steps, window=window)
     rows, counts = _distinct_draws(seed, dist, samples)
     increments = np.diff(np.hstack([np.full((len(rows), 1), ell / 2.0), rows]), axis=1)
     _check_window(np.max(np.abs(increments), axis=0), window, tau, ell, occ.pairing)

@@ -49,8 +49,10 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 @cache
 def _gauss_legendre():
-    # built on first use, so that importing the package does not load numpy.polynomial
-    return np.polynomial.legendre.leggauss(NODES)
+    """Nodes, and weights as a column.  Built on first use, so that importing
+    the package does not load numpy.polynomial."""
+    x, w = np.polynomial.legendre.leggauss(NODES)
+    return x, w[:, None]
 
 
 def _rules(f, lo, hi):
@@ -59,13 +61,15 @@ def _rules(f, lo, hi):
     returned a batch of M components."""
     x, w = _gauss_legendre()
     half = 0.5 * (hi - lo)
-    nodes = half[:, None] * x + (0.5 * (lo + hi))[:, None]
+    nodes = half[:, None] * x
+    nodes += (0.5 * (lo + hi))[:, None]
     out = f(nodes.ravel())
     values, sizes = out if isinstance(out, tuple) else (out, out)
     values = np.asarray(values, dtype=float)
-    # one batched dot, bit for bit the per-panel float(np.dot(w, row))
-    rules = half * np.vecdot(values.reshape(-1, *nodes.shape), w)
-    peaks = np.abs(sizes).reshape(len(rules), -1).max(axis=1).tolist()
+    # a (1 x NODES) @ (NODES x 1) product per panel is one dot, bit for bit
+    # the per-panel float(np.dot(w, row)) (values @ w would round differently)
+    rules = half * (values.reshape(-1, len(half), 1, NODES) @ w).reshape(-1, len(half))
+    peaks = np.maximum.reduce(np.abs(sizes).reshape(len(rules), -1), 1).tolist()
     return rules, peaks, values.ndim == 2
 
 
@@ -97,72 +101,59 @@ def integrate(f, a, b, kinks=(), config=DEFAULT_CONFIG):
     lo, mid, hi = points[:-1], 0.5 * (points[:-1] + points[1:]), points[1:]
     rules, peak, batched = _rules(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
     m, n = len(rules), len(lo)
-    # one column per panel; rows: lo, hi, then the coarse rules of every
-    # component, their left-half rules, their right-half rules
-    panels = np.concatenate([lo[None], hi[None], rules[:, :n], rules[:, n:2 * n], rules[:, 2 * n:]])
-    floors = [_NOISE * p * (b - a) for p in peak]
+    # one column per panel; rows: lo, hi, the coarse rule of every component,
+    # then each component's left-half and right-half rules
+    panels = np.concatenate([lo[None], hi[None], rules[:, :n], rules[:, n:].reshape(2 * m, n)])
     while True:
         lo, hi = panels[0], panels[1]
-        coarse, left, right = panels[2:2 + m], panels[2 + m:2 + 2 * m], panels[2 + 2 * m:]
+        coarse, left, right = panels[2:2 + m], panels[2 + m::2], panels[3 + m::2]
         fine = left + right
         errs = np.abs(fine - coarse)
         # per component, as floats: few components are cheaper in Python
-        err = errs.sum(axis=1).tolist()
+        err = np.add.reduce(errs, 1).tolist()
         if not all(map(math.isfinite, err)):
             c = next(c for c, e in enumerate(err) if not math.isfinite(e))
             i = np.argmax(~np.isfinite(errs[c]))
             raise QuadratureError(
                 f"panel [{lo[i]}, {hi[i]}] gives a non-finite value{_component(c, batched)}",
                 achieved=err[c])
-        sizes = np.abs(fine).sum(axis=1).tolist()
-        budget = [max(config.rtol * size, floor) for size, floor in zip(sizes, floors)]
+        sizes = np.add.reduce(np.abs(fine), 1).tolist()
+        budget = [max(config.rtol * size, _NOISE * p * (b - a)) for size, p in zip(sizes, peak)]
         fail = [c for c in range(m) if not err[c] <= budget[c]]
         if not fail:
             break
         # each failing component's fewest worst panels whose errors cover its
         # excess over half its budget, worst first, component by component;
         # each panel once
-        excess = [err[c] - 0.5 * budget[c] for c in fail]
-        if len(fail) == 1:  # the common case, in one dimension
-            (c,) = fail
-            order = np.argsort(errs[c])[::-1]
-            split = order[:int(np.searchsorted(np.cumsum(errs[c][order]), excess[0])) + 1]
-            worst = c, order[0]
-        else:
-            order = np.argsort(errs[fail], axis=1)[:, ::-1]
-            covered = errs[np.array(fail)[:, None], order].cumsum(axis=1)
-            chosen = np.ones(order.shape, dtype=bool)
-            chosen[:, 1:] = covered[:, :-1] < np.array(excess)[:, None]
-            split = order[chosen]
-            split = split[np.sort(np.unique(split, return_index=True)[1])]
-            worst = fail[0], order[0, 0]
-        halved = len(split)
-        if panels.shape[1] + halved > MAX_PANELS:
-            c, i = worst
+        halve = np.zeros(panels.shape[1], dtype=bool)
+        split = None
+        for c in fail:
+            order = errs[c].argsort()[::-1]
+            worst = order[:int(errs[c, order].cumsum().searchsorted(err[c] - 0.5 * budget[c])) + 1]
+            split = worst if split is None else np.concatenate([split, worst[~halve[worst]]])
+            halve[worst] = True
+        if panels.shape[1] + len(split) > MAX_PANELS:
+            c = fail[0]
+            i = np.argmax(errs[c])
             raise QuadratureError(
                 f"panel [{lo[i]}, {hi[i]}] did not converge{_component(c, batched)} (residual "
                 f"{errs[c, i]:.3e}; error {err[c]:.3e} over budget {budget[c]:.3e} at "
                 f"{panels.shape[1]} panels)", achieved=err[c])
         s_lo, s_hi = lo[split], hi[split]
         s_mid = 0.5 * (s_lo + s_hi)
-        q_lo, q_hi = 0.5 * (s_lo + s_mid), 0.5 * (s_mid + s_hi)
-        # the children's first halves, left children first, then their second halves
-        ends_lo = np.concatenate([s_lo, s_mid, q_lo, q_hi])
-        ends_hi = np.concatenate([q_lo, q_hi, s_mid, s_hi])
-        quarters, peak, _ = _rules(f, ends_lo, ends_hi)
-        floors = [max(floor, _NOISE * p * (b - a)) for floor, p in zip(floors, peak)]
-        keep = np.ones(panels.shape[1], dtype=bool)
-        keep[split] = False
-        # the kept panels in their order, then the left children, then the right
+        # the children's ends and midpoints, left children first
+        c_lo, c_hi = np.concatenate([s_lo, s_mid]), np.concatenate([s_mid, s_hi])
+        c_mid = 0.5 * (c_lo + c_hi)
+        quarters, quarter_peak, _ = _rules(f, np.concatenate([c_lo, c_mid]), np.concatenate([c_mid, c_hi]))
+        peak = list(map(max, peak, quarter_peak))
+        # the kept panels in their order, then the left children, then the
+        # right; a child's coarse rule is its parent's half rule
         children = np.concatenate([
-            ends_lo[None, :2 * halved], ends_hi[None, 2 * halved:],
-            np.concatenate([left[:, split], right[:, split]], axis=1),
-            quarters[:, :2 * halved], quarters[:, 2 * halved:],
-        ])
-        panels = np.concatenate([panels[:, keep], children], axis=1)
+            c_lo[None], c_hi[None], panels[2 + m:, split].reshape(m, -1), quarters.reshape(2 * m, -1)])
+        panels = np.concatenate([panels[:, ~halve], children], axis=1)
     # each component's sequential sum over the panels in order of k
     totals = []
-    for row in fine[:, np.argsort(lo)].tolist():
+    for row in fine.take(lo.argsort(), axis=1).tolist():
         total = 0.0
         for value in row:
             total += value

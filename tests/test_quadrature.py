@@ -109,6 +109,18 @@ def test_each_component_of_a_batch_meets_its_own_tolerance():
         assert err <= 1e-10 * abs(exact)
 
 
+def test_components_that_split_the_same_panels_split_each_once():
+    # both components pick the same worst panels in every pass: halved once,
+    # each is the scalar integral bit for bit
+    def g(x):
+        return np.log(np.abs(x - 0.3))
+
+    value, err = integrate(g, -1.0, 1.0)
+    values, errs = integrate(lambda x: np.array([g(x), 2.0 * g(x)]), -1.0, 1.0)
+    assert (values[0], errs[0]) == (value, err)
+    assert values[1] == pytest.approx(2.0 * value, rel=1e-14)
+
+
 def test_a_zero_component_stays_exactly_zero():
     values, errs = integrate(lambda x: np.array([np.zeros_like(x), np.log(np.abs(x - 0.3))]), -1.0, 1.0)
     assert (values[0], errs[0]) == (0.0, 0.0)
