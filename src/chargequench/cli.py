@@ -21,14 +21,7 @@ import numpy as np
 
 from . import __version__
 from .counting import MeasurementProtocol
-from .entropy import (
-    ProtocolTerms,
-    averaged_correction,
-    entropy_squeezed_double,
-    entropy_squeezed_single,
-    entropy_symmetric_multi,
-    entropy_symmetric_single,
-)
+from .entropy import ProtocolTerms, averaged_correction, entropy_symmetric_single
 from .errors import (
     FeasibilityError,
     ForbiddenOutcomeError,
@@ -134,17 +127,10 @@ def _write_artifact(job: JobSpec, name: str, header, rows, extra_meta=None):
 # ---------------------------------------------------------------------------
 
 
-def _entropy_report(state, t, tau, ell, q_seq, config):
-    occ = state.occupation
-    if occ.pairing is Pairing.SYMMETRIC_PARTICLE_HOLE:
-        if len(q_seq) == 1:
-            return entropy_symmetric_single(t, tau, ell, q_seq[0], occ, config=config)
-        return entropy_symmetric_multi(t, tau, ell, q_seq, occ, config=config)
-    if len(q_seq) == 1:
-        return entropy_squeezed_single(t, tau, ell, q_seq[0], occ, config=config)
-    if len(q_seq) == 2:
-        return entropy_squeezed_double(t, tau, ell, q_seq[0], q_seq[1], occ, config=config)
-    raise RegimeError("squeezed protocols support at most two measurements")
+def _reports(state, t, tau, ell, q_rows, config):
+    """The reports of rows of outcomes at final time t, in one batch."""
+    protocol = MeasurementProtocol(ell=ell, tau=tau, m=len(q_rows[0]), t=t)
+    return ProtocolTerms(protocol, state.occupation, config).reports(q_rows)
 
 
 def _report_columns(report):
@@ -162,8 +148,8 @@ def _cmd_curve(job: JobSpec):
     t_grid = parse_grid(p["t_grid"]) if "t_grid" in p else [p["t"]]
     config = job.quad()
 
-    rows = [(t, tau, *q_seq, *_report_columns(_entropy_report(state, t, tau, ell, q_seq, config)))
-            for t in t_grid]
+    rows = [(t, tau, *q_seq, *_report_columns(report))
+            for t in t_grid for report in _reports(state, t, tau, ell, [q_seq], config)]
     header = ["t", "tau"] + [f"q{i + 1}" for i in range(len(q_seq))] + [
         "baseline", "quantum", "classical", "total", "flags",
     ]
@@ -177,8 +163,10 @@ def _cmd_sweep(job: JobSpec):
     t_grid = parse_grid(p["t_grid"]) if "t_grid" in p else [p["t"]]
     q_grid = parse_grid(str(p["q_grid"]))
     config = job.quad()
-    rows = [(t, tau, q, *_report_columns(_entropy_report(state, t, tau, ell, [q], config)))
-            for t in t_grid for q in q_grid]
+    rows = []
+    for t in t_grid:
+        reports = _reports(state, t, tau, ell, [(q,) for q in q_grid], config)
+        rows += [(t, tau, q, *_report_columns(report)) for q, report in zip(q_grid, reports)]
     header = ["t", "tau", "q", "baseline", "quantum", "classical", "total", "flags"]
     return _write_artifact(job, "sweep", header, rows, {"state": p["state"]})
 
@@ -218,8 +206,13 @@ def _cmd_average(job: JobSpec):
     protocol = MeasurementProtocol(ell=ell, tau=tau, m=m, t=t)
     # the baseline, variance steps and classical term, integrated once for the job
     terms = ProtocolTerms(protocol, state.occupation, config)
-    analytic, breakdown = averaged_correction(protocol, state.occupation, config=config, terms=terms)
-    result = {"analytic_correction": analytic, "breakdown": breakdown}
+    try:
+        analytic, breakdown = averaged_correction(protocol, state.occupation, config=config, terms=terms)
+        result = {"analytic_correction": analytic, "breakdown": breakdown}
+    except RegimeError:
+        if not p.get("samples"):
+            raise
+        result = {"analytic_correction": None}  # no analytic average (squeezed states): Monte Carlo only
     if p.get("samples"):
         dist = None
         if p["state"] == "neel" and p.get("exact_distribution"):
@@ -261,10 +254,12 @@ def _cmd_neel(job: JobSpec):
     t = p.get("t", p["tau"] * p.get("m", 1))
     config = job.quad()
     state = get_state("neel", config)
+    dqs = parse_grid(str(p["dq"]))
+    exacts = [neel_entropy_exact(t, tau, [dq], ell, config=config) for dq in dqs]
+    saddle_reports = entropy_symmetric_single(t, tau, ell, ell / 2 + np.array(dqs), state.occupation,
+                                              config=config)
     rows = []
-    for dq in parse_grid(str(p["dq"])):
-        exact = neel_entropy_exact(t, tau, [dq], ell, config=config)
-        saddle_report = entropy_symmetric_single(t, tau, ell, ell / 2 + dq, state.occupation, config=config)
+    for dq, exact, saddle_report in zip(dqs, exacts, saddle_reports):
         ent_p, ent_m, log_term = stirling_expansion(dq, tau)
         rows.append(
             (

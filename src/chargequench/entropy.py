@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +24,12 @@ from .counting import (
     FINAL_SHARED,
     RIGHT_MOVER,
     ConfigurationClass,
+    CountingFunction,
     MeasurementProtocol,
     counting_function,
     light_cone_weight,
     shared_suffix_chis,
+    shared_suffix_classes,
 )
 from .errors import RegimeError
 from .fluctuations import (
@@ -38,8 +41,9 @@ from .fluctuations import (
 )
 from .quadrature import DEFAULT_CONFIG, momentum_integral
 from .saddle import (
+    _linear_chain,
+    charge_window,
     solve_saddle_squeezed,
-    solve_saddle_symmetric_multi,
     solve_saddle_symmetric_single,
 )
 from .states import OccupationFunction, Pairing, pair_entropy
@@ -61,16 +65,11 @@ class EntropyReport:
 
     @staticmethod
     def assemble(baseline, quantum, classical_tag, classical_value, diagnostics):
-        total = baseline + sum(v for _, v in quantum)
+        quantum = tuple(quantum)
+        total = baseline + sum([v for _, v in quantum])
         if classical_value is not None:
             total += classical_value
-        return EntropyReport(
-            baseline=baseline,
-            quantum_corrections=tuple(quantum),
-            classical_correction=(classical_tag, classical_value),
-            total=total,
-            diagnostics=diagnostics,
-        )
+        return EntropyReport(baseline, quantum, (classical_tag, classical_value), total, diagnostics)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -157,14 +156,9 @@ def log_n_correction(
     tau < ell/2 < t the prefactor crosses over to
     ``-1/2 log[s_tau^2 / (s_tau^2 + s_{t-tau}^2 - s_t^2)]`` and washes out at
     long times.  Regimes with no known convention return (None, flag).
+    This is `ProtocolTerms.classical` of the protocol.
     """
-    if occ.pairing is Pairing.SQUEEZED_PAIR:
-        return _log_n_squeezed(t, tau, ell, occ, m, config)
-    try:
-        deltas = variance_steps(tau, m, ell, occ, config=config)
-    except RegimeError:
-        return None, LOGN_UNKNOWN
-    return _log_n_symmetric(t, tau, ell, occ, deltas, config)
+    return ProtocolTerms(MeasurementProtocol(ell=ell, tau=tau, m=m, t=t), occ, config).classical
 
 
 def _log_n_symmetric(t, tau, ell, occ, deltas, config):
@@ -259,40 +253,155 @@ def _quantum_integral(chi, tilt, occ, config):
     return values, errors
 
 
-def _measured_report(protocol, occ, terms, sol, classical, config, **diagnostics):
-    """The report of one measured state: the unmeasured baseline at
-    (protocol.t, protocol.ell), one quantum correction per
-    ``(label, chi, tilt)`` term and the classical ``(value, tag)``.
+def _measured_reports(baseline, classical, chis, rows, occ, config, **diagnostics):
+    """The reports of the outcome rows of one protocol: each is the
+    ``baseline``, one quantum correction per ``(label, chi)`` of ``chis`` and
+    the classical ``(value, tag)``.  A row is a ``(saddle solution, tilts)``
+    pair with one tilt per term of ``chis``.
 
-    Every report kind assembles here, so its diagnostics always name the
-    saddle, the summed quadrature error of the quantum terms and the
-    log-prefactor regime.
+    Each distinct counting function is integrated once, over the distinct
+    tilts it takes in all rows: one batched `_quantum_integral`, so a single
+    row gives the scalar integrals bit for bit.  The integrals are done on the
+    call; the result is an iterator that assembles each report when it is
+    read, so a caller that keeps only the totals holds one report at a time.
+    Every report assembles here, so its diagnostics always name the saddle,
+    the summed quadrature error of its quantum terms and the log-prefactor
+    regime.
     """
-    baseline = unmeasured_entropy(1.0, protocol.t, protocol.ell, occ, config=config)
-    quantum = []
-    error = 0.0
-    for label, chi, tilt in terms:
-        value, err = _quantum_integral(chi, tilt, occ, config)
-        quantum.append((label, value))
-        error += err
+    # per term: its (label, value) and its quadrature error at each tilt
+    terms, term_errors = [None] * len(chis), [None] * len(chis)
+    for chi in {id(chi): chi for _, chi in chis}.values():
+        cols = [j for j, (_, other) in enumerate(chis) if other is chi]
+        distinct = sorted({tilts[j] for _, tilts in rows for j in cols})
+        values, errors = _quantum_integral(chi, np.array(distinct, dtype=float), occ, config)
+        for j in cols:
+            terms[j] = {tilt: (chis[j][0], value) for tilt, value in zip(distinct, values.tolist())}
+            term_errors[j] = dict(zip(distinct, errors.tolist()))
     value, tag = classical
-    diagnostics.update(
-        saddle=json.loads(sol.to_json()), quantum_quadrature_error=error, logN_regime=tag
-    )
-    return EntropyReport.assemble(baseline, quantum, tag, value, diagnostics)
-
-
-def _squeezed_terms(protocol, lambdas, member_counts):
-    """One term per shared class of a squeezed state, keyed by the members
-    inside A at each measurement: its tilt is ``sum_i counts_i lambda_i``."""
-    return [
-        (
-            f"chi[{''.join(map(str, counts))}]_AAbar",
-            counting_function([ConfigurationClass(counts, FINAL_SHARED, RIGHT_MOVER)], protocol),
-            sum(c * lam for c, lam in zip(counts, lambdas)),
+    return (
+        EntropyReport.assemble(
+            baseline, [term[tilt] for term, tilt in zip(terms, tilts)], tag, value,
+            {**diagnostics, "saddle": sol.summary(),
+             "quantum_quadrature_error": sum([error[tilt] for error, tilt in zip(term_errors, tilts)]),
+             "logN_regime": tag},
         )
-        for counts in member_counts
-    ]
+        for sol, tilts in rows
+    )
+
+
+# ---------------------------------------------------------------------------
+# Reports
+# ---------------------------------------------------------------------------
+
+# Members inside A at each measurement of the shared classes of a squeezed
+# state, per m: a class's tilt is sum_i counts_i lambda_i
+_SQUEEZED_MEMBERS = {1: ((1,), (2,)), 2: ((2, 2), (2, 1), (1, 1), (0, 1))}
+
+
+class ProtocolTerms:
+    """The outcome-independent terms of every measured-entropy report of one
+    protocol: the unmeasured baseline, the `charge_window`, the
+    `variance_steps`, the counting function of each quantum term and the
+    classical `log_n_correction`.  Each is integrated once, when first read,
+    so that all reports of a job, its analytic average and its Monte-Carlo
+    run share them; `reports` builds the reports of any number of outcome
+    rows in one batch."""
+
+    def __init__(self, protocol: MeasurementProtocol, occ: OccupationFunction, config=DEFAULT_CONFIG):
+        self.protocol, self.occ, self.config = protocol, occ, config
+
+    @functools.cached_property
+    def baseline(self) -> float:
+        p = self.protocol
+        return unmeasured_entropy(1.0, p.t, p.ell, self.occ, config=self.config)
+
+    @functools.cached_property
+    def charge_window(self) -> float:
+        p = self.protocol
+        return charge_window(p.tau, p.ell, config=self.config)
+
+    @functools.cached_property
+    def steps(self) -> tuple[float, ...]:
+        p = self.protocol
+        return variance_steps(p.tau, p.m, p.ell, self.occ, config=self.config)
+
+    @functools.cached_property
+    def chis(self) -> list[tuple[str, CountingFunction]]:
+        """``(label, chi)`` of each quantum term.  A squeezed state has one
+        term per shared class of `_SQUEEZED_MEMBERS`.  A symmetric state has
+        one per measurement l, weighted by the pairs first shared at l
+        (`shared_suffix_classes`); inside the light cone (2t <= ell) every
+        step's pairs weigh 2|v_k| tau, so all steps share step 1's chi."""
+        p = self.protocol
+        if self.occ.pairing is Pairing.SQUEEZED_PAIR:
+            return [
+                (f"chi[{''.join(map(str, counts))}]_AAbar",
+                 counting_function([ConfigurationClass(counts, FINAL_SHARED, RIGHT_MOVER)], p))
+                for counts in _SQUEEZED_MEMBERS[p.m]
+            ]
+        if 2 * p.t <= p.ell:
+            chis = [counting_function(shared_suffix_classes(1, p.m), p)] * p.m
+        else:
+            chis = shared_suffix_chis(p)
+        labels = ["chi[1]_AAbar"] if p.m == 1 else [f"chi[1,{l}]_AAbar" for l in range(1, p.m + 1)]
+        return list(zip(labels, chis))
+
+    @functools.cached_property
+    def classical(self) -> tuple[float | None, str]:
+        """``(value, tag)`` of the log prefactor, ``(None, tag)`` where no
+        convention is known (see `log_n_correction`)."""
+        p = self.protocol
+        if self.occ.pairing is Pairing.SQUEEZED_PAIR:
+            return _log_n_squeezed(p.t, p.tau, p.ell, self.occ, p.m, self.config)
+        try:
+            steps = self.steps
+        except RegimeError:  # the variance saturated between two steps
+            return None, LOGN_UNKNOWN
+        return _log_n_symmetric(p.t, p.tau, p.ell, self.occ, steps, self.config)
+
+    def known_classical(self) -> tuple[float, str]:
+        """`classical`, raising `RegimeError` where no convention is known."""
+        value, tag = self.classical
+        if value is None:
+            raise RegimeError(f"no log-prefactor convention for this regime ({tag})")
+        return value, tag
+
+    def reports(self, q_rows) -> Iterator[EntropyReport]:
+        """The reports of rows of m outcomes, in row order (see
+        `_measured_reports`).  A symmetric state solves the exact single
+        saddle for m = 1 and the linear multiplier chain otherwise; a
+        squeezed state solves `solve_saddle_squeezed` (m in {1, 2})."""
+        p, occ, config = self.protocol, self.occ, self.config
+        if occ.pairing is Pairing.SQUEEZED_PAIR:
+            rows = []
+            for q_seq in q_rows:
+                sol = solve_saddle_squeezed(q_seq, p.tau, p.ell, occ, config=config)
+                rows.append((sol, [sum(c * lam for c, lam in zip(counts, sol.lambdas))
+                                   for counts in _SQUEEZED_MEMBERS[p.m]]))
+        elif p.m == 1:
+            rows = []
+            for (q,) in q_rows:
+                sol = solve_saddle_symmetric_single(q - p.ell / 2.0, p.tau, p.ell, occ, config=config,
+                                                    window=self.charge_window)
+                rows.append((sol, sol.lambdas))
+        else:
+            rows = self._chain_rows(q_rows)
+        return _measured_reports(self.baseline, self.classical, self.chis, rows, occ, config)
+
+    def _chain_rows(self, q_rows):
+        p = self.protocol
+        # inside the light cone every step adds the same variance, 2 D tau:
+        # all steps take step 1's, as they take its chi
+        steps = self.steps[:1] * p.m if 2 * p.t <= p.ell else self.steps
+        dq_rows = np.diff(np.asarray(q_rows, dtype=float), axis=1, prepend=p.ell / 2.0)
+        return [(sol, sol.suffix) for sol in _linear_chain(dq_rows, self.charge_window, steps, p.tau, p.ell)]
+
+
+def _terms(protocol, occ, config, pairing):
+    """The `ProtocolTerms` of a report function defined for one pairing."""
+    if occ.pairing is not pairing:
+        raise ValueError(f"these reports are defined for {pairing.value} states")
+    return ProtocolTerms(protocol, occ, config)
 
 
 def entropy_symmetric_single(
@@ -301,17 +410,16 @@ def entropy_symmetric_single(
     """Entropy after one charge measurement on a symmetric state.
 
     baseline + (1/2pi) int dk chi_shared^(1)(t,k) (s[n_dq(k)] - s[n(k)]) +
-    log-prefactor.
+    log-prefactor.  ``q`` is an outcome, giving its report, or an array of
+    outcomes, giving the list of their reports (one batch).
     """
     if t < tau:
         raise ValueError("final time precedes the measurement")
-    sol = solve_saddle_symmetric_single(q - ell / 2.0, tau, ell, occ, config=config)
-    protocol = MeasurementProtocol(ell=ell, tau=tau, m=1, t=t)
-    (chi1,) = shared_suffix_chis(protocol)
-    return _measured_report(
-        protocol, occ, [("chi[1]_AAbar", chi1, sol.lambdas[0])], sol,
-        log_n_correction(t, tau, ell, occ, m=1, config=config), config,
-    )
+    terms = _terms(MeasurementProtocol(ell=ell, tau=tau, m=1, t=t), occ, config,
+                   Pairing.SYMMETRIC_PARTICLE_HOLE)
+    qs = np.asarray(q, dtype=float)
+    reports = list(terms.reports([(v,) for v in qs.ravel().tolist()]))
+    return reports[0] if qs.ndim == 0 else reports
 
 
 def entropy_symmetric_multi(
@@ -321,19 +429,13 @@ def entropy_symmetric_multi(
 
     Each measurement contributes its own log-prefactor and an entropy-
     difference term weighted by the pairs first shared at that measurement
-    and still shared at t, tilted by the suffix sum of the multipliers.
+    and still shared at t, tilted by the suffix sum of the multipliers of the
+    linear chain (also for m = 1).
     """
-    m = len(q_seq)
-    protocol = MeasurementProtocol(ell=ell, tau=tau, m=m, t=t, outcomes=tuple(q_seq))
-    dq_seq = [q_seq[0] - ell / 2.0] + [q_seq[i] - q_seq[i - 1] for i in range(1, m)]
-    sol = solve_saddle_symmetric_multi(dq_seq, tau, ell, occ, config=config)
-    terms = [
-        (f"chi[1,{l}]_AAbar", chi_l, tilt)
-        for l, (chi_l, tilt) in enumerate(zip(shared_suffix_chis(protocol), sol.suffix), 1)
-    ]
-    return _measured_report(
-        protocol, occ, terms, sol, log_n_correction(t, tau, ell, occ, m=m, config=config), config
-    )
+    protocol = MeasurementProtocol(ell=ell, tau=tau, m=len(q_seq), t=t, outcomes=tuple(q_seq))
+    terms = _terms(protocol, occ, config, Pairing.SYMMETRIC_PARTICLE_HOLE)
+    rows = terms._chain_rows([q_seq])
+    return next(_measured_reports(terms.baseline, terms.classical, terms.chis, rows, occ, config))
 
 
 def entropy_squeezed_single(
@@ -346,12 +448,8 @@ def entropy_squeezed_single(
     """
     if t < tau:
         raise ValueError("final time precedes the measurement")
-    sol = solve_saddle_squeezed((q,), tau, ell, occ, config=config)
     protocol = MeasurementProtocol(ell=ell, tau=tau, m=1, t=t)
-    return _measured_report(
-        protocol, occ, _squeezed_terms(protocol, sol.lambdas, ((1,), (2,))), sol,
-        log_n_correction(t, tau, ell, occ, m=1, config=config), config,
-    )
+    return next(_terms(protocol, occ, config, Pairing.SQUEEZED_PAIR).reports([(q,)]))
 
 
 def entropy_squeezed_double(
@@ -363,50 +461,12 @@ def entropy_squeezed_double(
     tilts 2l1+2l2, 2l1+l2, l1+l2 and l2 respectively.
     """
     protocol = MeasurementProtocol(ell=ell, tau=tau, m=2, t=t, outcomes=(q1, q2))
-    sol = solve_saddle_squeezed((q1, q2), tau, ell, occ, config=config)
-    terms = _squeezed_terms(protocol, sol.lambdas, ((2, 2), (2, 1), (1, 1), (0, 1)))
-    return _measured_report(
-        protocol, occ, terms, sol, log_n_correction(t, tau, ell, occ, m=2, config=config), config
-    )
+    return next(_terms(protocol, occ, config, Pairing.SQUEEZED_PAIR).reports([(q1, q2)]))
 
 
 # ---------------------------------------------------------------------------
 # Outcome averages
 # ---------------------------------------------------------------------------
-
-
-class ProtocolTerms:
-    """The outcome-independent terms of every symmetric-state report of one
-    protocol: the unmeasured baseline, the `variance_steps` and the
-    classical `log_n_correction`.  Each is integrated once, when first read,
-    so that the analytic average and a Monte-Carlo run of one job share
-    them."""
-
-    def __init__(self, protocol: MeasurementProtocol, occ: OccupationFunction, config=DEFAULT_CONFIG):
-        self.protocol, self.occ, self.config = protocol, occ, config
-
-    @functools.cached_property
-    def baseline(self) -> float:
-        p = self.protocol
-        return unmeasured_entropy(1.0, p.t, p.ell, self.occ, config=self.config)
-
-    @functools.cached_property
-    def steps(self) -> tuple[float, ...]:
-        p = self.protocol
-        return variance_steps(p.tau, p.m, p.ell, self.occ, config=self.config)
-
-    @functools.cached_property
-    def classical(self) -> tuple[float | None, str]:
-        """``(value, tag)`` of `log_n_correction`; raises `RegimeError` where
-        no convention is known."""
-        p = self.protocol
-        try:
-            value, tag = _log_n_symmetric(p.t, p.tau, p.ell, self.occ, self.steps, self.config)
-        except RegimeError:  # the variance saturated between two steps
-            value, tag = None, LOGN_UNKNOWN
-        if value is None:
-            raise RegimeError(f"no log-prefactor convention for this regime ({tag})")
-        return value, tag
 
 
 def averaged_correction(
@@ -426,7 +486,7 @@ def averaged_correction(
     t, tau, ell, m = protocol.t, protocol.tau, protocol.ell, protocol.m
     if terms is None:
         terms = ProtocolTerms(protocol, occ, config)
-    classical, tag = terms.classical
+    classical, tag = terms.known_classical()
     sigma_tau = terms.steps[0]
     if m == 1:
         sigma_t = variance_symmetric(t, ell, occ, config=config)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import FINAL_SHARED, ConfigurationClass, MeasurementProtocol, counting_function
-from .entropy import EntropyReport, _measured_report
+from .entropy import EntropyReport, _measured_reports, unmeasured_entropy
 from .errors import RegimeError
 from .fluctuations import variance_saturated
 from .quadrature import DEFAULT_CONFIG, momentum_integral
@@ -212,8 +212,9 @@ def geometry_entropy(
     chi = counting_function([ConfigurationClass((2,), FINAL_SHARED, None)], protocol, region,
                             weight=0.5)
     sol = SaddleSolution(((q - center) / sigma2,), "linearized", f"geometry-{geom.measured_region}")
-    return _measured_report(
-        protocol, occ, [("chi~[2]_AAbar", chi, 2 * sol.lambdas[0])], sol,
-        (None, "geometry-logN-unknown"), config,
+    (report,) = _measured_reports(
+        unmeasured_entropy(1.0, t, ell, occ, config=config), (None, "geometry-logN-unknown"),
+        [("chi~[2]_AAbar", chi)], [(sol, (2 * sol.lambdas[0],))], occ, config,
         saddle_center=center, saddle_variance=sigma2, **diagnostics,
     )
+    return report

@@ -43,20 +43,11 @@ def neel_charged_moment(dq: float, tau: float) -> float:
     ``(1/2pi) int_{-pi}^{pi} dl e^{-i dq l} cos^{4 tau/pi}(l/2)``.
 
     Evaluates to ``2 / (2^x x B((x+y+1)/2, (x-y+1)/2))`` with
-    x = 4 tau/pi + 1, y = 2 dq; also the exact probability of outcome
-    deviation dq at measurement time tau.
+    x = 4 tau/pi + 1, y = 2 dq, which is 1 / (the measurement factor of
+    `neel_entropy_exact`); also the exact probability of outcome deviation dq
+    at measurement time tau.
     """
-    x = 4.0 * tau / math.pi + 1.0
-    y = 2.0 * dq
-    a = 0.5 * (x + y + 1.0)
-    b = 0.5 * (x - y + 1.0)
-    if a <= 0 or b <= 0:
-        raise RegimeError(
-            f"charged moment undefined: Gamma arguments ({a:g}, {b:g}) outside the domain"
-        )
-    betaln = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    log_m = math.log(2.0) - x * math.log(2.0) - math.log(x) - betaln
-    return math.exp(log_m)
+    return math.exp(-_log_measurement_factor(dq, tau))
 
 
 def _log_measurement_factor(dq: float, tau: float) -> float:
@@ -66,10 +57,10 @@ def _log_measurement_factor(dq: float, tau: float) -> float:
         raise RegimeError(
             f"outcome dq = {dq:g} outside the Gamma domain |dq| < 2 tau/pi + 1"
         )
+    # the two outcome-dependent terms are summed first: even in dq bit for bit
     return (
         2.0 * p * math.log(2.0)
-        + math.lgamma(p + dq + 1.0)
-        + math.lgamma(p - dq + 1.0)
+        + (math.lgamma(p + dq + 1.0) + math.lgamma(p - dq + 1.0))
         - math.lgamma(2.0 * p + 1.0)
     )
 

@@ -16,19 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import MeasurementProtocol, counting_function, shared_suffix_classes
-from .entropy import (
-    EntropyReport,
-    ProtocolTerms,
-    _quantum_integral,
-    entropy_squeezed_double,
-    entropy_squeezed_single,
-)
+from .counting import MeasurementProtocol
+from .entropy import ProtocolTerms
 from .errors import FeasibilityError, RegimeError
 from .fluctuations import drude_weight, variance_squeezed, variance_steps
 from .neel_exact import neel_charged_moment, neel_exact_pdf_logweight
 from .quadrature import DEFAULT_CONFIG, integrate
-from .saddle import _check_window, _saddle_root, charge_window
+from .saddle import charge_window
 from .states import OccupationFunction, Pairing
 
 KIND_GAUSSIAN = "gaussian"
@@ -202,101 +196,44 @@ def monte_carlo_average(
 ):
     """Outcome-averaged total entropy: ``(mean, stderr)``.
 
-    Outcomes are integers, so the total is assembled once per distinct
-    outcome sequence (through `EntropyReport.assemble`) and the mean is the
-    count-weighted average ``sum_i (count_i / samples) total_i`` over the
-    distinct outcomes; a distribution with a single outcome therefore gives
-    exactly that outcome's total and a standard error of exactly 0.
-    Symmetric multi-measurement corrections are additive over steps with
-    each step depending only on its own charge increment: every distinct
-    (step, increment) is solved once, and the corrections of one counting
-    function are one batched integral.  ``terms``, the protocol's
-    `ProtocolTerms` (symmetric states), is built here unless given.
+    Outcomes are integers, so the reports of the distinct outcome sequences
+    are built once each, in one `ProtocolTerms.reports` batch, and the mean
+    is the count-weighted average ``sum_i (count_i / samples) total_i`` over
+    them; a distribution with a single outcome therefore gives exactly that
+    outcome's total and a standard error of exactly 0.  A symmetric state
+    raises `RegimeError` where no log-prefactor convention is known; a
+    squeezed state (m in {1, 2}) averages its report totals, which then omit
+    the classical term.  ``terms``, the protocol's `ProtocolTerms`, is built
+    here unless given.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
+    if terms is None:
+        terms = ProtocolTerms(protocol, occ, config)
     if occ.pairing is Pairing.SYMMETRIC_PARTICLE_HOLE:
-        if terms is None:
-            terms = ProtocolTerms(protocol, occ, config)
-        return _mc_symmetric(protocol, occ, samples, seed, distribution, terms, config)
-    return _mc_squeezed(protocol, occ, samples, seed, distribution, config)
+        terms.known_classical()
+    rows, counts = _distinct_draws(seed, distribution or _outcome_law(terms), samples)
+    return _count_weighted_mean([report.total for report in terms.reports(rows)], counts)
 
 
-def _mc_symmetric(protocol, occ, samples, seed, distribution, terms, config):
-    t, tau, ell, m = protocol.t, protocol.tau, protocol.ell, protocol.m
-    classical, tag = terms.classical
-    window = charge_window(tau, ell, config=config)
-    dist = distribution or chain_distribution(tau, m, ell, occ, config, steps=terms.steps, window=window)
-    rows, counts = _distinct_draws(seed, dist, samples)
-    increments = np.diff(np.hstack([np.full((len(rows), 1), ell / 2.0), rows]), axis=1)
-    _check_window(np.max(np.abs(increments), axis=0), window, tau, ell, occ.pairing)
-
-    # Inside the light cone (2t <= ell) every step's chi is 2|v_k| tau, so all
-    # steps with the same charge increment share step 1's correction.
-    light_cone = 2 * t <= ell
-    chis = {l: counting_function(shared_suffix_classes(l, m), protocol)
-            for l in ((1,) if light_cone else range(1, m + 1))}
-
-    def key(l, dq):
-        return (1 if light_cone else l, float(dq))
-
-    def tilt(step, dq):
-        # m = 1 solves the exact saddle; the linearised chain's step l has
-        # tilt dq_l / (its variance step)
-        return _saddle_root(dq, window, tau, ell, occ, config) if m == 1 else dq / terms.steps[step - 1]
-
-    keys = sorted({key(l, dq) for row in increments for l, dq in enumerate(row, 1)})
-    tilts = {k: tilt(*k) for k in keys}
-    corrections = {}
-    for step, chi in chis.items():
-        group = [k for k in keys if k[0] == step]
-        values, _ = _quantum_integral(chi, np.array([tilts[k] for k in group]), occ, config)
-        corrections.update(zip(group, values.tolist()))
-
-    totals = [
-        EntropyReport.assemble(
-            terms.baseline,
-            [(f"chi[1,{l}]_AAbar", corrections[key(l, dq)]) for l, dq in enumerate(row, 1)],
-            tag,
-            classical,
-            {},
-        ).total
-        for row in increments
-    ]
-    return _count_weighted_mean(totals, counts)
-
-
-def _mc_squeezed(protocol, occ, samples, seed, distribution, config):
-    t, tau, ell, m = protocol.t, protocol.tau, protocol.ell, protocol.m
-    if m not in (1, 2):
+def _outcome_law(terms: ProtocolTerms) -> OutcomeDistribution:
+    """The Gaussian law of the protocol's outcomes: the symmetric
+    `chain_distribution`, or a squeezed state's m in {1, 2} outcomes."""
+    p, occ, config = terms.protocol, terms.occ, terms.config
+    if occ.pairing is Pairing.SYMMETRIC_PARTICLE_HOLE:
+        return chain_distribution(p.tau, p.m, p.ell, occ, config, steps=terms.steps,
+                                  window=terms.charge_window)
+    qbar = p.ell * occ.mean_density
+    if p.m == 1:
+        return squeezed_single_distribution(p.tau, p.ell, occ, qbar, config=config)
+    if p.m != 2:
         raise RegimeError("squeezed Monte-Carlo supports m in {1, 2}")
-    qbar = ell * occ.mean_density
-    if distribution is None:
-        if m == 1:
-            distribution = squeezed_single_distribution(tau, ell, occ, qbar, config=config)
-        else:
-            var1 = variance_squeezed(tau, ell, occ, config=config)
-            # after the first projection the subsystem charge is pinned, so the
-            # second increment carries the ballistic (symmetric-like) variance
-            step2 = 2.0 * tau * drude_weight(occ, config=config)
-            distribution = OutcomeDistribution(
-                KIND_GAUSSIAN,
-                qbar,
-                (var1, step2),
-                tau,
-                ell,
-                charge_window(tau, ell, config=config),
-                first_step_unrestricted=True,
-            )
-    rows, counts = _distinct_draws(seed, distribution, samples)
-    totals = []
-    for row in rows:
-        if m == 1:
-            report = entropy_squeezed_single(t, tau, ell, row[0], occ, config=config)
-        else:
-            report = entropy_squeezed_double(t, tau, ell, row[0], row[1], occ, config=config)
-        totals.append(report.total)
-    return _count_weighted_mean(totals, counts)
+    var1 = variance_squeezed(p.tau, p.ell, occ, config=config)
+    # after the first projection the subsystem charge is pinned, so the
+    # second increment carries the ballistic (symmetric-like) variance
+    step2 = 2.0 * p.tau * drude_weight(occ, config=config)
+    return OutcomeDistribution(KIND_GAUSSIAN, qbar, (var1, step2), p.tau, p.ell, terms.charge_window,
+                               first_step_unrestricted=True)
 
 
 def _distinct_draws(seed, dist, samples):

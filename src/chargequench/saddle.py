@@ -42,8 +42,11 @@ class SaddleSolution:
     # the differences would not (rounding residue)
     suffix: tuple[float, ...] | None = None
 
+    def summary(self) -> dict:
+        return {"lambdas": self.lambdas, "mode": self.mode, "regime": self.regime}
+
     def to_json(self) -> str:
-        return json.dumps({"lambdas": list(self.lambdas), "mode": self.mode, "regime": self.regime})
+        return json.dumps(self.summary())
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +135,13 @@ def solve_saddle_symmetric_single(
 
     Solves the monotone ``r(lam) = (1/2pi) int dk w(k) (n_lam(k) - 1/2) - dq
     = 0``, w = min(2|v_k| tau, ell), by Newton from ``2 atanh(dq / window)``,
-    the root for a flat n(k) (Neel).  r(0) = -dq puts the root on dq's side
-    of 0; every residual narrows that bracket, and a step that leaves it or
-    |lam| <= 300, or a slope <= 0, is replaced by the midpoint, or by doubling
-    lam while the far side is open.  A root beyond |lam| = 300 raises
-    `RegimeError`.  Its linearisation is ``dq / sigma_tau^2``.  ``window``
-    is the `charge_window` of (tau, ell), integrated here unless given.
+    the root for a flat n(k) (Neel); dq = 0 gives lam = 0.0 exactly.
+    r(0) = -dq puts the root on dq's side of 0; every residual narrows that
+    bracket, and a step that leaves it or |lam| <= 300, or a slope <= 0, is
+    replaced by the midpoint, or by doubling lam while the far side is open.
+    A root beyond |lam| = 300 raises `RegimeError`.  Its linearisation is
+    ``dq / sigma_tau^2``.  ``window`` is the `charge_window` of (tau, ell),
+    integrated here unless given.
     """
     if occ.pairing is not Pairing.SYMMETRIC_PARTICLE_HOLE:
         raise ValueError("use solve_saddle_squeezed for squeezed-pair states")
@@ -147,13 +151,8 @@ def solve_saddle_symmetric_single(
     regime = "symmetric-single"
     if abs(dq) > 0.99 * window:
         regime += ";saddle-unreliable"  # approximation degrades near the light cone
-    return SaddleSolution((_saddle_root(dq, window, tau, ell, occ, config),), "exact", regime)
-
-
-def _saddle_root(dq, window, tau, ell, occ, config) -> float:
-    """`solve_saddle_symmetric_single`'s root for a dq inside ``window``; 0.0 at dq = 0."""
     if dq == 0.0:
-        return 0.0
+        return SaddleSolution((0.0,), "exact", regime)
     weight = light_cone_weight(tau, ell)
 
     def integral(integrand):
@@ -187,7 +186,7 @@ def _saddle_root(dq, window, tau, ell, occ, config) -> float:
         d = slope(lam)
         step = -r / d if d > 0 else math.nan
         if abs(step) <= 1e-13 * max(1.0, abs(lam)):
-            return lam + step
+            return SaddleSolution((lam + step,), "exact", regime)
         if not (lo < lam + step < hi and abs(lam + step) <= _LAMBDA_MAX):  # also a NaN step
             if math.isinf(lo + hi):
                 step = math.copysign(min(2.0 * abs(lam), _LAMBDA_MAX), lam) - lam
@@ -195,7 +194,7 @@ def _saddle_root(dq, window, tau, ell, occ, config) -> float:
                 step = 0.5 * (lo + hi) - lam
         lam += step
         if hi - lo <= 1e-13 * max(1.0, abs(lam)):
-            return lam
+            return SaddleSolution((lam,), "exact", regime)
     raise RegimeError(
         f"saddle for dq = {dq:g} (tau = {tau:g}, ell = {ell:g}, state {occ.label}) not found within "
         f"{_NEWTON_STEPS} Newton steps and |lambda| <= {_LAMBDA_MAX:g}: too close to the light cone"
@@ -213,12 +212,21 @@ def solve_saddle_symmetric_multi(
     """
     if occ.pairing is not Pairing.SYMMETRIC_PARTICLE_HOLE:
         raise ValueError("use solve_saddle_squeezed for squeezed-pair states")
-    m = len(dq_seq)
-    _check_window(dq_seq, charge_window(tau, ell, config=config), tau, ell, occ.pairing)
-    steps = variance_steps(tau, m, ell, occ, config=config)
-    suffix = [dq / step for dq, step in zip(dq_seq, steps)]
-    lambdas = [suffix[l] - (suffix[l + 1] if l + 1 < m else 0.0) for l in range(m)]
-    return SaddleSolution(tuple(lambdas), "linearized", "symmetric-multi", tuple(suffix))
+    window = charge_window(tau, ell, config=config)
+    steps = variance_steps(tau, len(dq_seq), ell, occ, config=config)
+    return _linear_chain([dq_seq], window, steps, tau, ell)[0]
+
+
+def _linear_chain(dq_rows, window, steps, tau, ell) -> list[SaddleSolution]:
+    """`solve_saddle_symmetric_multi` for each row of charge steps, given the
+    `charge_window` and the `variance_steps` of (tau, ell): the suffix sums
+    are dq_l / step_l.  The window is checked on each step's largest |dq|."""
+    dq = np.asarray(dq_rows, dtype=float)
+    _check_window(np.max(np.abs(dq), axis=0).tolist(), window, tau, ell, Pairing.SYMMETRIC_PARTICLE_HOLE)
+    suffix = dq / np.asarray(steps)
+    lambdas = suffix - np.hstack([suffix[:, 1:], np.zeros((len(dq), 1))])
+    return [SaddleSolution(tuple(lam), "linearized", "symmetric-multi", tuple(suf))
+            for lam, suf in zip(lambdas.tolist(), suffix.tolist())]
 
 
 def solve_saddle_squeezed(

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import chargequench
-from chargequench import cli, entropy, fluctuations, saddle
+from chargequench import cli, counting, entropy, fluctuations, saddle
 from chargequench.cli import _COMMANDS, JobSpec, main
 
 # Every subcommand with only the arguments it needs; the defaults do the rest.
@@ -165,3 +165,30 @@ def test_saddle_integrates_the_window_once_per_job(tmp_path, monkeypatch, capsys
     assert counts == {"charge_window": 1, "variance_symmetric": 1}
     rows = json.loads((tmp_path / "saddle.json").read_text())["rows"]
     assert [row[3] for row in rows] == [1] * 7 and rows[3][1] == 0.0
+
+
+@pytest.mark.parametrize("m, quantum", [(1, 2), (2, 4)])
+def test_squeezed_average_runs_its_monte_carlo(m, quantum, tmp_path, monkeypatch, capsys):
+    # no analytic average exists for a squeezed state: the job writes a null
+    # analytic value and the Monte-Carlo keys; the baseline and the classical
+    # term are integrated once, and each counting function's corrections are
+    # one batched quantum integral
+    counts = _count_calls(monkeypatch, entropy.unmeasured_entropy, entropy._log_n_squeezed,
+                          entropy._quantum_integral)
+    argv = ["average", "--state", "tilted:1.1", "--ell", "40", "--tau", "3", "--t", "14", "--m", str(m)]
+    assert main([*argv, "--samples", "200", "--seed", "1", "--out", str(tmp_path)]) == 0, capsys.readouterr().err
+    result = json.loads((tmp_path / "average.json").read_text())
+    assert result["analytic_correction"] is None and result["n_samples"] == 200
+    assert all(math.isfinite(result[key]) for key in ("mc_mean", "mc_stderr", "mc_correction"))
+    assert counts == {"unmeasured_entropy": 1, "_log_n_squeezed": 1, "_quantum_integral": quantum}
+    # without --samples there is nothing to report
+    assert main([*argv, "--out", str(tmp_path / "none")]) == cli.EXIT_REGIME
+
+
+def test_light_cone_report_shares_one_counting_function(dimer, monkeypatch):
+    # for 2t <= ell every step of an m = 3 report weighs 2|v_k| tau: one
+    # counting function and one quantum integral for the three terms
+    counts = _count_calls(monkeypatch, counting.counting_function, entropy._quantum_integral)
+    report = entropy.entropy_symmetric_multi(18.0, 6.0, 40.0, [22.0, 21.0, 23.0], dimer.occupation)
+    assert counts == {"counting_function": 1, "_quantum_integral": 1}
+    assert [label for label, _ in report.quantum_corrections] == [f"chi[1,{l}]_AAbar" for l in (1, 2, 3)]

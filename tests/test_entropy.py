@@ -332,3 +332,22 @@ def test_quantum_integral_takes_an_array_of_tilts(dimer):
         alone, _ = _quantum_integral(chi, float(tilt), occ, DEFAULT_CONFIG)
         assert isinstance(alone, float)
         assert value == pytest.approx(alone, rel=1e-10, abs=1e-14)
+
+
+@pytest.mark.parametrize("t", [16.0, 26.0])
+def test_symmetric_single_takes_an_array_of_outcomes(dimer, t):
+    # one batch of reports (a sweep row set) equals one call per outcome
+    tau, ell = 6.0, 40.0
+    qs = np.arange(17.0, 24.0)
+    batch = entropy_symmetric_single(t, tau, ell, qs, dimer.occupation)
+    assert isinstance(batch, list) and len(batch) == len(qs)
+    for q, rep in zip(qs, batch):
+        alone = entropy_symmetric_single(t, tau, ell, float(q), dimer.occupation)
+        assert rep.baseline == alone.baseline
+        assert rep.classical_correction == alone.classical_correction
+        assert rep.total == pytest.approx(alone.total, rel=1e-10)
+        for (label, value), (label_alone, value_alone) in zip(rep.quantum_corrections,
+                                                              alone.quantum_corrections):
+            assert label == label_alone
+            assert value == pytest.approx(value_alone, rel=1e-10, abs=1e-14)
+    assert batch[qs.tolist().index(20.0)].quantum_corrections[0][1] == 0.0

@@ -38,6 +38,22 @@ def test_moment_basics():
         neel_charged_moment(200.0, 1.0)
 
 
+def test_moment_is_the_inverse_measurement_factor():
+    # one lgamma source: the moment, computed from the measurement factor of
+    # neel_entropy_exact, equals the Beta-function algebra it replaced,
+    # 2 / (2^x x B((x + 2dq + 1)/2, (x - 2dq + 1)/2)) with x = 4 tau/pi + 1,
+    # and stays even in dq bit for bit
+    for tau in (0.5, 3.0, 20.0, 100.0, 1000.0):
+        x = 4.0 * tau / math.pi + 1.0
+        for frac in (-0.95, -0.5, -0.1, 0.0, 0.3, 0.7, 0.99):
+            dq = frac * 2.0 * tau / math.pi
+            a, b = 0.5 * (x + 2 * dq + 1.0), 0.5 * (x - 2 * dq + 1.0)
+            betaln = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+            beta_form = math.exp(math.log(2.0) - x * math.log(2.0) - math.log(x) - betaln)
+            assert neel_charged_moment(dq, tau) == pytest.approx(beta_form, rel=1e-11, abs=0.0)
+            assert neel_charged_moment(dq, tau) == neel_charged_moment(-dq, tau)
+
+
 def test_moment_against_quadrature_oracle():
     rng = np.random.default_rng(30)
     for _ in range(25):
