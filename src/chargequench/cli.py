@@ -38,7 +38,7 @@ from .probability import (
     sample_many,
 )
 from .quadrature import QuadratureConfig
-from .saddle import _feasible_window, solve_saddle_squeezed, solve_saddle_symmetric_single
+from .saddle import PeriodTerms, _feasible_window, solve_saddle_symmetric_single
 from .states import Pairing, get_state
 
 EXIT_OK = 0
@@ -127,10 +127,14 @@ def _write_artifact(job: JobSpec, name: str, header, rows, extra_meta=None):
 # ---------------------------------------------------------------------------
 
 
-def _reports(state, t, tau, ell, q_rows, config):
-    """The reports of rows of outcomes at final time t, in one batch."""
-    protocol = MeasurementProtocol(ell=ell, tau=tau, m=len(q_rows[0]), t=t)
-    return ProtocolTerms(protocol, state.occupation, config).reports(q_rows)
+def _reports(state, t_grid, tau, ell, q_rows, config):
+    """``(t, reports)`` for each final time t of the grid: the reports of the
+    rows of outcomes, in one batch per t.  The terms that do not depend on t
+    are integrated once for the grid."""
+    protocol = MeasurementProtocol(ell=ell, tau=tau, m=len(q_rows[0]), t=t_grid[0])
+    terms = ProtocolTerms(protocol, state.occupation, config)
+    for t in t_grid:
+        yield t, terms.at(t).reports(q_rows)
 
 
 def _report_columns(report):
@@ -149,7 +153,7 @@ def _cmd_curve(job: JobSpec):
     config = job.quad()
 
     rows = [(t, tau, *q_seq, *_report_columns(report))
-            for t in t_grid for report in _reports(state, t, tau, ell, [q_seq], config)]
+            for t, reports in _reports(state, t_grid, tau, ell, [q_seq], config) for report in reports]
     header = ["t", "tau"] + [f"q{i + 1}" for i in range(len(q_seq))] + [
         "baseline", "quantum", "classical", "total", "flags",
     ]
@@ -163,10 +167,9 @@ def _cmd_sweep(job: JobSpec):
     t_grid = parse_grid(p["t_grid"]) if "t_grid" in p else [p["t"]]
     q_grid = parse_grid(str(p["q_grid"]))
     config = job.quad()
-    rows = []
-    for t in t_grid:
-        reports = _reports(state, t, tau, ell, [(q,) for q in q_grid], config)
-        rows += [(t, tau, q, *_report_columns(report)) for q, report in zip(q_grid, reports)]
+    rows = [(t, tau, q, *_report_columns(report))
+            for t, reports in _reports(state, t_grid, tau, ell, [(q,) for q in q_grid], config)
+            for q, report in zip(q_grid, reports)]
     header = ["t", "tau", "q", "baseline", "quantum", "classical", "total", "flags"]
     return _write_artifact(job, "sweep", header, rows, {"state": p["state"]})
 
@@ -180,9 +183,10 @@ def _cmd_saddle(job: JobSpec):
     occ = state.occupation
     rows = []
     if occ.pairing is Pairing.SQUEEZED_PAIR:
+        period = PeriodTerms(tau, 1, ell, occ, config)  # one squeezed variance for every dq
         for dq in dq_grid:
             # dq from the mean charge; the saddle is linear, exact = linearized
-            sol = solve_saddle_squeezed((ell * occ.mean_density + dq,), tau, ell, occ, config=config)
+            sol = period.saddle((ell * occ.mean_density + dq,))
             rows.append((dq, sol.lambdas[0], sol.lambdas[0], 1, sol.regime))
     else:
         # one window and one variance for every dq of the job

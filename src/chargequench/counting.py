@@ -4,33 +4,36 @@ A quench emits at every point x0 one entangled pair per momentum k whose
 members travel ballistically with velocities ``+-v``, ``v = |sin k|``.  The
 weight of a "configuration class" (how many members sat inside the measured
 region at each measurement time, and where the pair ends up at the final
-time) is the Lebesgue measure of birth positions x0 realising it.  This
-module computes those measures exactly by interval algebra for arbitrary
-schedules (`counting_measure`).
+time) is the Lebesgue measure of birth positions x0 realising it.
 
-Counting engine.  Integrands need chi(k) at thousands of momenta, so
-`counting_function` evaluates the scalar classifier only at a handful of
-velocities and interpolates.  For a fixed class every interval endpoint the
-classifier produces has the form ``e - s v T``: e an endpoint of A = [0, ell]
-or of the measured region, T a measurement time or the final time, s = +-1.
-The measure is a sum of differences of such endpoints, and which endpoint is
-active can only change where two of them meet,
+Counting engine.  The right mover sits at x0 + v T at time T and the left
+mover at x0 - v T, so which members are inside a region can only change at
+x0 = e - s v T: e an endpoint of A = [0, ell] or of the measured region, T a
+measurement time or the final time, s = +-1.  `_measures` sorts these
+endpoints for a batch of velocities and probes each segment between
+neighbours at its midpoint.  Per event (each measurement, then the final
+time) a class admits one row of an occupancy table: both members in, none,
+the right mover only, the left mover only, or exactly one.  Its measure is
+the summed width of the segments where every event admits the probe,
+infinite where a segment beyond all endpoints does.
 
-    v* = (e1 - e2) / (s1 T1 - s2 T2).
+`counting_function` evaluates the measures at a handful of velocities and
+interpolates.  A measure is a sum of differences of the endpoints above, and
+which endpoint is active can only change where two of them meet,
 
-Between consecutive breakpoints v* in (0, 1) the measure is therefore affine
-in v, so linear interpolation in v = |sin k| through its values at 0, 1 and
-every v* is exact, and the momenta where |sin k| = v* are the only kinks.
-The classifier's window edges lie more than ``v t + 1`` beyond every region,
-so they meet none of these endpoints; a class whose set reaches them has
-infinite measure, and `counting_function` refuses it.
+    v* = (e1 - e2) / (s1 T1 - s2 T2),
 
-Conventions.  The geometric classifier (`counting_measure`) returns raw
-x0-measures; classes involving "exactly one member inside" pin which member
-(the right or left mover) is the inside one.  The counting functions of the
-entropy formulas count member-pinned measures for shared classes and half the
-raw measure (`counting_function`'s ``weight``) for full-pair classes, so that
-each physical pair is weighted once under ``(1/2pi) int_{-pi}^{pi} dk``.
+so between consecutive breakpoints v* in (0, 1) it is affine in v: linear
+interpolation in v = |sin k| through its values at 0, 1 and every v* is
+exact, the momenta where |sin k| = v* are the only kinks, and a class of
+infinite measure is refused.
+
+Conventions.  The measures (`counting_measure`) are raw x0-measures; classes
+involving "exactly one member inside" pin which member (the right or left
+mover) is the inside one.  The counting functions of the entropy formulas
+count member-pinned measures for shared classes and half the raw measure
+(`counting_function`'s ``weight``) for full-pair classes, so that each
+physical pair is weighted once under ``(1/2pi) int_{-pi}^{pi} dk``.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import IntervalSet, window_hull
 from .quadrature import velocity_kinks
 
 RIGHT_MOVER = "right"
@@ -113,31 +115,52 @@ class ConfigurationClass:
 
 
 # ---------------------------------------------------------------------------
-# Geometric classifier
+# Counting kernel
 # ---------------------------------------------------------------------------
 
 
-def _member_set(member: str, v: float, time: float, region: IntervalSet) -> IntervalSet:
-    # right mover at x0 + v*time, left mover at x0 - v*time
-    shift = -v * time if member == RIGHT_MOVER else +v * time
-    return region.shift(shift)
+# The codes (right mover inside) + 2 (left mover inside) an event admits, as
+# bit masks: both members in, none, or one in, pinned to a mover or either
+_BOTH_OR_NONE = {2: 0b1000, 0: 0b0001}
+_ONE_IN = {RIGHT_MOVER: 0b0010, LEFT_MOVER: 0b0100, None: 0b0110}
+_FINAL_COUNT = {FINAL_BOTH_IN: 2, FINAL_SHARED: 1, FINAL_BOTH_OUT: 0}
+_CODE = np.array([1, 2])
 
 
-def _event_set(v, time, region, count, member, window) -> IntervalSet:
-    right = _member_set(RIGHT_MOVER, v, time, region)
-    left = _member_set(LEFT_MOVER, v, time, region)
-    if count == 2:
-        return right.intersect(left)
-    if count == 0:
-        return right.union(left).complement(window)
-    if member == RIGHT_MOVER:
-        return right.intersect(left.complement(window))
-    if member == LEFT_MOVER:
-        return left.intersect(right.complement(window))
-    # no pin: either member inside, the other out (raw pair-level measure)
-    return right.intersect(left.complement(window)).union(
-        left.intersect(right.complement(window))
-    )
+def _measures(classes, protocol: MeasurementProtocol, v, measured_region=None) -> np.ndarray:
+    """(C, V) x0-measures of C classes at V velocities ``v``, ``inf`` where
+    unbounded: the segment sweep of the module docstring.
+
+    ``measured_region`` (pairs of (a, b)) is where the charge is measured,
+    A itself when None; the final tag always refers to A = [0, ell].
+    """
+    if any(len(cls.counts) != protocol.m for cls in classes):
+        raise ValueError("class occupancy length must match the measurement count")
+    a_region = [(0.0, float(protocol.ell))]
+    region = a_region if measured_region is None else [(float(a), float(b)) for a, b in measured_region]
+    times = [*protocol.times, protocol.t]
+    # events: each measurement, then the final time, once for the right mover
+    # (x0 + v T) and once for the left mover (x0 - v T); per event the open
+    # intervals of its region, A padded with empty ones
+    shifts = [*times, *(-time for time in times)]
+    final = [*a_region, *[(math.inf, -math.inf)] * (len(region) - 1)]
+    bounds = np.array([*([region] * protocol.m), final] * 2).transpose(2, 0, 1)
+    # segment endpoints e - s v T; two more ends 2t + 1 beyond the others put
+    # the outermost segments beyond every real endpoint, where a class that
+    # holds is unbounded: their widths count as infinite
+    ends = {e for pair in (*a_region, *region) for e in pair}
+    ends = np.array(sorted(ends | {min(ends) - 2 * protocol.t - 1.0, max(ends) + 2 * protocol.t + 1.0}))
+    motion = np.multiply.outer(np.asarray(v, dtype=float), shifts)
+    points = np.sort(np.add.outer(-motion, ends).reshape(len(motion), -1))
+    widths = points[:, 1:] - points[:, :-1]
+    positions = (points[:, :-1] + 0.5 * widths)[:, :, None] + motion[:, None]
+    inside = ((bounds[0] < positions[..., None]) & (positions[..., None] < bounds[1])).any(axis=-1)
+    codes = _CODE @ inside.reshape(*inside.shape[:2], 2, len(times))
+    masks = np.array([[_ONE_IN[cls.member] if count == 1 else _BOTH_OR_NONE[count]
+                       for count in (*cls.counts, _FINAL_COUNT[cls.final])] for cls in classes])
+    holds = ((masks[:, None, None] >> codes) & 1).all(axis=-1)
+    widths[:, 0] = widths[:, -1] = math.inf
+    return np.where(holds, widths, 0.0).sum(axis=-1)
 
 
 def counting_measure(
@@ -153,37 +176,7 @@ def counting_measure(
     A = [0, ell].  Classes that never touch a bounded region have infinite
     measure and are reported as ``math.inf``.
     """
-    if len(cls.counts) != protocol.m:
-        raise ValueError("class occupancy length must match the measurement count")
-    v = abs(math.sin(float(k)))
-    a_region = IntervalSet.from_pairs([(0.0, protocol.ell)])
-    if measured_region is None:
-        regions = [a_region] * protocol.m
-    elif isinstance(measured_region, IntervalSet):
-        regions = [measured_region] * protocol.m
-    else:
-        regions = [IntervalSet.from_pairs(measured_region)] * protocol.m
-
-    # Window large enough to contain every bounded constraint of the class.
-    base_sets = [a_region] + regions
-    lo, hi = window_hull(base_sets, pad=1.0)
-    span = v * protocol.t + (hi - lo)
-    window = (lo - span - 1.0, hi + span + 1.0)
-
-    allowed = IntervalSet.from_pairs([window])
-    for time, region, count in zip(protocol.times, regions, cls.counts):
-        allowed = allowed.intersect(_event_set(v, time, region, count, cls.member, window))
-        if not allowed:
-            return 0.0
-    final_count = {FINAL_BOTH_IN: 2, FINAL_SHARED: 1, FINAL_BOTH_OUT: 0}[cls.final]
-    allowed = allowed.intersect(
-        _event_set(v, protocol.t, a_region, final_count, cls.member, window)
-    )
-    if not allowed:
-        return 0.0
-    if allowed.touches(window[0]) or allowed.touches(window[1]):
-        return math.inf  # class never constrained to a bounded set
-    return allowed.measure
+    return float(_measures([cls], protocol, [abs(math.sin(float(k)))], measured_region)[0, 0])
 
 
 def enumerate_classes(m: int):
@@ -217,11 +210,10 @@ def enumerate_classes(m: int):
 
 
 def velocity_breakpoints(protocol: MeasurementProtocol, measured_region=None) -> np.ndarray:
-    """0, 1 and every v* in (0, 1) where two classifier endpoints meet (sorted)."""
+    """0, 1 and every v* in (0, 1) where two segment endpoints meet (sorted)."""
     ends = {0.0, float(protocol.ell)}
     if measured_region is not None:
-        pairs = measured_region.intervals if isinstance(measured_region, IntervalSet) else measured_region
-        ends.update(float(e) for pair in pairs for e in pair)
+        ends.update(float(e) for pair in measured_region for e in pair)
     slopes = {s * time for time in (*protocol.times, protocol.t) for s in (1.0, -1.0)}
     found = {0.0, 1.0}
     for (e1, c1), (e2, c2) in itertools.combinations(itertools.product(ends, slopes), 2):
@@ -249,18 +241,23 @@ class CountingFunction:
 def counting_function(classes, protocol: MeasurementProtocol, measured_region=None,
                       weight: float = 1.0) -> CountingFunction:
     """``weight * sum_cls counting_measure(cls, k, protocol, measured_region)``
-    as a `CountingFunction`: one classifier call per class and breakpoint.
+    as a `CountingFunction`: one `_measures` sweep over every class and
+    breakpoint.
 
     Raises ValueError if a class has infinite measure at some velocity.
     """
+    return _counting_functions([classes], protocol, measured_region, weight)[0]
+
+
+def _counting_functions(groups, protocol, measured_region=None, weight=1.0) -> list[CountingFunction]:
+    """The `counting_function` of each group of classes, all from one
+    `_measures` sweep: each is the one its group gives alone, bit for bit."""
     v = velocity_breakpoints(protocol, measured_region)
-    values = np.array([
-        weight * sum(counting_measure(cls, math.asin(x), protocol, measured_region) for cls in classes)
-        for x in v
-    ])
-    if not np.all(np.isfinite(values)):
+    measures = _measures([cls for group in groups for cls in group], protocol, v, measured_region)
+    if np.isinf(measures).any():
         raise ValueError("counting function of a class with infinite measure")
-    return CountingFunction(v, values)
+    bounds = [0, *itertools.accumulate(map(len, groups))]
+    return [CountingFunction(v, weight * measures[lo:hi].sum(axis=0)) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def light_cone_weight(t: float, ell: float) -> CountingFunction:
@@ -292,6 +289,7 @@ def shared_suffix_classes(l: int, m: int) -> list[ConfigurationClass]:
 
 
 def shared_suffix_chis(protocol: MeasurementProtocol) -> list[CountingFunction]:
-    """chi^(1,l) for l = 1..m, the `shared_suffix_classes`, as `CountingFunction`s."""
-    return [counting_function(shared_suffix_classes(l, protocol.m), protocol)
-            for l in range(1, protocol.m + 1)]
+    """chi^(1,l) for l = 1..m, the `shared_suffix_classes`, as `CountingFunction`s
+    from one sweep."""
+    return _counting_functions([shared_suffix_classes(l, protocol.m) for l in range(1, protocol.m + 1)],
+                               protocol)

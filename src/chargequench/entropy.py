@@ -11,6 +11,7 @@ the value is omitted from the total and flagged.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -26,6 +27,7 @@ from .counting import (
     ConfigurationClass,
     CountingFunction,
     MeasurementProtocol,
+    _counting_functions,
     counting_function,
     light_cone_weight,
     shared_suffix_chis,
@@ -35,17 +37,10 @@ from .errors import RegimeError
 from .fluctuations import (
     asymmetry,
     number_entropy,
-    variance_squeezed,
-    variance_steps,
     variance_symmetric,
 )
 from .quadrature import DEFAULT_CONFIG, momentum_integral
-from .saddle import (
-    _linear_chain,
-    charge_window,
-    solve_saddle_squeezed,
-    solve_saddle_symmetric_single,
-)
+from .saddle import PeriodTerms, _linear_chain
 from .states import OccupationFunction, Pairing, pair_entropy
 
 LOGN_UNKNOWN = "logN-regime-unknown"
@@ -122,8 +117,8 @@ def _hessian_general_symmetric(t, tau, ell, occ, config):
     # zeroth order in the saddle, with b(alpha) = int chi (n(1-n))^alpha /
     # (n^alpha + (1-n)^alpha)^2 and its alpha-derivative in closed form.
     protocol = MeasurementProtocol(ell=ell, tau=tau, m=1, t=t)
-    chi1_shared = counting_function([ConfigurationClass((1,), FINAL_SHARED, RIGHT_MOVER)], protocol)
-    chi1_out = counting_function([ConfigurationClass((1,), FINAL_BOTH_OUT, RIGHT_MOVER)], protocol)
+    chi1_shared, chi1_out = _counting_functions(
+        [[ConfigurationClass((1,), final, RIGHT_MOVER)] for final in (FINAL_SHARED, FINAL_BOTH_OUT)], protocol)
 
     def integral(chi, density):
         def integrand(k):
@@ -186,12 +181,14 @@ def _log_n_symmetric(t, tau, ell, occ, deltas, config):
     return None, LOGN_UNKNOWN
 
 
-def _log_n_squeezed(t, tau, ell, occ, m, config):
+def _log_n_squeezed(t, period: PeriodTerms):
+    """`log_n_correction` of a squeezed state at final time t."""
     # m = 1 has closed forms at the measurement and inside the light cone
     # of a tau = 0 measurement; every m is washed out from 10 ell on
+    tau, ell, m = period.tau, period.ell, period.m
     if m == 1 and abs(t - tau) < 1e-12:
-        sigma2 = variance_squeezed(tau, ell, occ, config=config)
-        delta_s = asymmetry(tau, ell, occ, config=config)
+        sigma2 = period.squeezed_variance
+        delta_s = asymmetry(tau, ell, period.occ, config=period.config)
         if not math.isfinite(delta_s) or sigma2 <= 0:
             return None, LOGN_UNKNOWN
         return delta_s - number_entropy(sigma2), "squeezed-at-measurement"
@@ -300,15 +297,23 @@ _SQUEEZED_MEMBERS = {1: ((1,), (2,)), 2: ((2, 2), (2, 1), (1, 1), (0, 1))}
 
 class ProtocolTerms:
     """The outcome-independent terms of every measured-entropy report of one
-    protocol: the unmeasured baseline, the `charge_window`, the
-    `variance_steps`, the counting function of each quantum term and the
-    classical `log_n_correction`.  Each is integrated once, when first read,
+    protocol: the unmeasured baseline, the counting function of each quantum
+    term and the classical `log_n_correction`, plus ``period``, the
+    `saddle.PeriodTerms` that do not depend on the final time, which `at`
+    shares between final times.  Each is integrated once, when first read,
     so that all reports of a job, its analytic average and its Monte-Carlo
     run share them; `reports` builds the reports of any number of outcome
     rows in one batch."""
 
-    def __init__(self, protocol: MeasurementProtocol, occ: OccupationFunction, config=DEFAULT_CONFIG):
+    def __init__(self, protocol: MeasurementProtocol, occ: OccupationFunction, config=DEFAULT_CONFIG,
+                 period: PeriodTerms | None = None):
         self.protocol, self.occ, self.config = protocol, occ, config
+        self.period = PeriodTerms(protocol.tau, protocol.m, protocol.ell, occ, config) if period is None else period
+
+    def at(self, t) -> "ProtocolTerms":
+        """The terms of the same measurements read at final time t: ``period``
+        is shared, not integrated again."""
+        return ProtocolTerms(dataclasses.replace(self.protocol, t=t), self.occ, self.config, self.period)
 
     @functools.cached_property
     def baseline(self) -> float:
@@ -316,29 +321,19 @@ class ProtocolTerms:
         return unmeasured_entropy(1.0, p.t, p.ell, self.occ, config=self.config)
 
     @functools.cached_property
-    def charge_window(self) -> float:
-        p = self.protocol
-        return charge_window(p.tau, p.ell, config=self.config)
-
-    @functools.cached_property
-    def steps(self) -> tuple[float, ...]:
-        p = self.protocol
-        return variance_steps(p.tau, p.m, p.ell, self.occ, config=self.config)
-
-    @functools.cached_property
     def chis(self) -> list[tuple[str, CountingFunction]]:
-        """``(label, chi)`` of each quantum term.  A squeezed state has one
-        term per shared class of `_SQUEEZED_MEMBERS`.  A symmetric state has
-        one per measurement l, weighted by the pairs first shared at l
-        (`shared_suffix_classes`); inside the light cone (2t <= ell) every
-        step's pairs weigh 2|v_k| tau, so all steps share step 1's chi."""
+        """``(label, chi)`` of each quantum term, from one counting sweep.  A
+        squeezed state has one term per shared class of `_SQUEEZED_MEMBERS`.
+        A symmetric state has one per measurement l, weighted by the pairs
+        first shared at l (`shared_suffix_classes`); inside the light cone
+        (2t <= ell) every step's pairs weigh 2|v_k| tau, so all steps share
+        step 1's chi."""
         p = self.protocol
         if self.occ.pairing is Pairing.SQUEEZED_PAIR:
-            return [
-                (f"chi[{''.join(map(str, counts))}]_AAbar",
-                 counting_function([ConfigurationClass(counts, FINAL_SHARED, RIGHT_MOVER)], p))
-                for counts in _SQUEEZED_MEMBERS[p.m]
-            ]
+            members = _SQUEEZED_MEMBERS[p.m]
+            chis = _counting_functions([[ConfigurationClass(counts, FINAL_SHARED, RIGHT_MOVER)] for counts in members],
+                                       p)
+            return [(f"chi[{''.join(map(str, counts))}]_AAbar", chi) for counts, chi in zip(members, chis)]
         if 2 * p.t <= p.ell:
             chis = [counting_function(shared_suffix_classes(1, p.m), p)] * p.m
         else:
@@ -352,9 +347,9 @@ class ProtocolTerms:
         convention is known (see `log_n_correction`)."""
         p = self.protocol
         if self.occ.pairing is Pairing.SQUEEZED_PAIR:
-            return _log_n_squeezed(p.t, p.tau, p.ell, self.occ, p.m, self.config)
+            return _log_n_squeezed(p.t, self.period)
         try:
-            steps = self.steps
+            steps = self.period.steps
         except RegimeError:  # the variance saturated between two steps
             return None, LOGN_UNKNOWN
         return _log_n_symmetric(p.t, p.tau, p.ell, self.occ, steps, self.config)
@@ -368,33 +363,27 @@ class ProtocolTerms:
 
     def reports(self, q_rows) -> Iterator[EntropyReport]:
         """The reports of rows of m outcomes, in row order (see
-        `_measured_reports`).  A symmetric state solves the exact single
+        `_measured_reports`).  A symmetric state takes the exact single
         saddle for m = 1 and the linear multiplier chain otherwise; a
-        squeezed state solves `solve_saddle_squeezed` (m in {1, 2})."""
-        p, occ, config = self.protocol, self.occ, self.config
+        squeezed state takes the squeezed saddle (m in {1, 2}); each
+        distinct row's saddle is solved once per ``period``."""
+        p, occ = self.protocol, self.occ
         if occ.pairing is Pairing.SQUEEZED_PAIR:
-            rows = []
-            for q_seq in q_rows:
-                sol = solve_saddle_squeezed(q_seq, p.tau, p.ell, occ, config=config)
-                rows.append((sol, [sum(c * lam for c, lam in zip(counts, sol.lambdas))
-                                   for counts in _SQUEEZED_MEMBERS[p.m]]))
+            rows = [(sol, [sum(c * lam for c, lam in zip(counts, sol.lambdas)) for counts in _SQUEEZED_MEMBERS[p.m]])
+                    for sol in map(self.period.saddle, q_rows)]
         elif p.m == 1:
-            rows = []
-            for (q,) in q_rows:
-                sol = solve_saddle_symmetric_single(q - p.ell / 2.0, p.tau, p.ell, occ, config=config,
-                                                    window=self.charge_window)
-                rows.append((sol, sol.lambdas))
+            rows = [(sol, sol.lambdas) for sol in map(self.period.saddle, q_rows)]
         else:
             rows = self._chain_rows(q_rows)
-        return _measured_reports(self.baseline, self.classical, self.chis, rows, occ, config)
+        return _measured_reports(self.baseline, self.classical, self.chis, rows, occ, self.config)
 
     def _chain_rows(self, q_rows):
-        p = self.protocol
+        p, period = self.protocol, self.period
         # inside the light cone every step adds the same variance, 2 D tau:
         # all steps take step 1's, as they take its chi
-        steps = self.steps[:1] * p.m if 2 * p.t <= p.ell else self.steps
+        steps = period.steps[:1] * p.m if 2 * p.t <= p.ell else period.steps
         dq_rows = np.diff(np.asarray(q_rows, dtype=float), axis=1, prepend=p.ell / 2.0)
-        return [(sol, sol.suffix) for sol in _linear_chain(dq_rows, self.charge_window, steps, p.tau, p.ell)]
+        return [(sol, sol.suffix) for sol in _linear_chain(dq_rows, period.charge_window, steps, p.tau, p.ell)]
 
 
 def _terms(protocol, occ, config, pairing):
@@ -487,7 +476,7 @@ def averaged_correction(
     if terms is None:
         terms = ProtocolTerms(protocol, occ, config)
     classical, tag = terms.known_classical()
-    sigma_tau = terms.steps[0]
+    sigma_tau = terms.period.steps[0]
     if m == 1:
         sigma_t = variance_symmetric(t, ell, occ, config=config)
         sigma_tmtau = variance_symmetric(t - tau, ell, occ, config=config)

@@ -57,8 +57,10 @@ class OutcomeDistribution:
         return self.window
 
 
-def squeezed_single_distribution(tau, ell, occ, qbar, config=DEFAULT_CONFIG):
-    var = variance_squeezed(tau, ell, occ, config=config)
+def squeezed_single_distribution(tau, ell, occ, qbar, config=DEFAULT_CONFIG, *, variance=None):
+    """Gaussian law of one outcome on a squeezed state, of the squeezed
+    variance at tau (``variance``, where the caller has it)."""
+    var = variance_squeezed(tau, ell, occ, config=config) if variance is None else variance
     return OutcomeDistribution(
         KIND_GAUSSIAN, qbar, (var,), tau, ell, None, first_step_unrestricted=True
     )
@@ -219,20 +221,21 @@ def monte_carlo_average(
 def _outcome_law(terms: ProtocolTerms) -> OutcomeDistribution:
     """The Gaussian law of the protocol's outcomes: the symmetric
     `chain_distribution`, or a squeezed state's m in {1, 2} outcomes."""
-    p, occ, config = terms.protocol, terms.occ, terms.config
+    p, occ, config, period = terms.protocol, terms.occ, terms.config, terms.period
     if occ.pairing is Pairing.SYMMETRIC_PARTICLE_HOLE:
-        return chain_distribution(p.tau, p.m, p.ell, occ, config, steps=terms.steps,
-                                  window=terms.charge_window)
+        return chain_distribution(p.tau, p.m, p.ell, occ, config, steps=period.steps,
+                                  window=period.charge_window)
     qbar = p.ell * occ.mean_density
     if p.m == 1:
-        return squeezed_single_distribution(p.tau, p.ell, occ, qbar, config=config)
+        return squeezed_single_distribution(p.tau, p.ell, occ, qbar, config=config,
+                                            variance=period.squeezed_variance)
     if p.m != 2:
         raise RegimeError("squeezed Monte-Carlo supports m in {1, 2}")
-    var1 = variance_squeezed(p.tau, p.ell, occ, config=config)
+    var1 = period.squeezed_variance
     # after the first projection the subsystem charge is pinned, so the
     # second increment carries the ballistic (symmetric-like) variance
     step2 = 2.0 * p.tau * drude_weight(occ, config=config)
-    return OutcomeDistribution(KIND_GAUSSIAN, qbar, (var1, step2), p.tau, p.ell, terms.charge_window,
+    return OutcomeDistribution(KIND_GAUSSIAN, qbar, (var1, step2), p.tau, p.ell, period.charge_window,
                                first_step_unrestricted=True)
 
 

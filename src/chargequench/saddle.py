@@ -10,6 +10,7 @@ unrestricted.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -245,23 +246,69 @@ def solve_saddle_squeezed(
     """
     if occ.pairing is not Pairing.SQUEEZED_PAIR:
         raise ValueError("use the symmetric solvers for particle-hole states")
-    m = len(q_seq)
-    if m not in (1, 2):
-        raise RegimeError("squeezed saddles are implemented for m in {1, 2} only")
-    qbar = ell * occ.mean_density
-    sigma_tau2 = variance_squeezed(tau, ell, occ, config=config)
-    if m == 1:
-        if sigma_tau2 <= 1e-14:
-            raise RegimeError("squeezed variance vanished; no fluctuations to measure")
-        return SaddleSolution(((q_seq[0] - qbar) / sigma_tau2,), "linearized", "squeezed-single")
-    dq2 = q_seq[1] - q_seq[0]
-    window = charge_window(tau, ell, config=config)
-    _check_window((q_seq[0] - qbar, dq2), window, tau, ell, occ.pairing)
-    sigma_2tau2 = variance_squeezed(2 * tau, ell, occ, config=config)
-    sigma_inf2 = variance_saturated(ell, occ, config=config)
-    denom = 2 * sigma_tau2 - sigma_inf2
-    if abs(denom) <= 1e-12 or sigma_2tau2 <= 1e-14:
-        raise RegimeError("singular squeezed two-measurement system")
-    lam1 = dq2 / denom
-    lam2 = (q_seq[0] - qbar - lam1 * sigma_tau2) / sigma_2tau2
-    return SaddleSolution((lam1, lam2), "linearized", "squeezed-double")
+    return PeriodTerms(tau, len(q_seq), ell, occ, config)._squeezed(q_seq)
+
+
+class PeriodTerms:
+    """The terms of m measurements every tau on [0, ell] that depend neither
+    on the outcomes nor on the final time: the `charge_window`, the
+    `variance_steps`, the squeezed variances sigma_tau^2, sigma_{2tau}^2 and
+    sigma_inf^2, and the saddle of each outcome row.  Each is integrated
+    once, when first read, for all final times that share the object."""
+
+    def __init__(self, tau, m, ell, occ: OccupationFunction, config=DEFAULT_CONFIG):
+        self.tau, self.m, self.ell, self.occ, self.config = tau, m, ell, occ, config
+        self._saddles = {}
+
+    @functools.cached_property
+    def charge_window(self) -> float:
+        return charge_window(self.tau, self.ell, config=self.config)
+
+    @functools.cached_property
+    def steps(self) -> tuple[float, ...]:
+        return variance_steps(self.tau, self.m, self.ell, self.occ, config=self.config)
+
+    @functools.cached_property
+    def squeezed_variance(self) -> float:
+        return variance_squeezed(self.tau, self.ell, self.occ, config=self.config)
+
+    @functools.cached_property
+    def squeezed_variance_2tau(self) -> float:
+        return variance_squeezed(2 * self.tau, self.ell, self.occ, config=self.config)
+
+    @functools.cached_property
+    def saturated_variance(self) -> float:
+        return variance_saturated(self.ell, self.occ, config=self.config)
+
+    def saddle(self, q_seq) -> SaddleSolution:
+        """The saddle of a row of outcomes, solved once per distinct row: the
+        exact single saddle of a symmetric state (m = 1) or the squeezed one."""
+        key = tuple(q_seq)
+        if key not in self._saddles:
+            solve = self._squeezed if self.occ.pairing is Pairing.SQUEEZED_PAIR else self._symmetric_single
+            self._saddles[key] = solve(key)
+        return self._saddles[key]
+
+    def _symmetric_single(self, q_seq) -> SaddleSolution:
+        return solve_saddle_symmetric_single(q_seq[0] - self.ell / 2.0, self.tau, self.ell, self.occ,
+                                             config=self.config, window=self.charge_window)
+
+    def _squeezed(self, q_seq) -> SaddleSolution:
+        m = len(q_seq)
+        if m not in (1, 2):
+            raise RegimeError("squeezed saddles are implemented for m in {1, 2} only")
+        qbar = self.ell * self.occ.mean_density
+        sigma_tau2 = self.squeezed_variance
+        if m == 1:
+            if sigma_tau2 <= 1e-14:
+                raise RegimeError("squeezed variance vanished; no fluctuations to measure")
+            return SaddleSolution(((q_seq[0] - qbar) / sigma_tau2,), "linearized", "squeezed-single")
+        dq2 = q_seq[1] - q_seq[0]
+        _check_window((q_seq[0] - qbar, dq2), self.charge_window, self.tau, self.ell, self.occ.pairing)
+        sigma_2tau2 = self.squeezed_variance_2tau
+        denom = 2 * sigma_tau2 - self.saturated_variance
+        if abs(denom) <= 1e-12 or sigma_2tau2 <= 1e-14:
+            raise RegimeError("singular squeezed two-measurement system")
+        lam1 = dq2 / denom
+        lam2 = (q_seq[0] - qbar - lam1 * sigma_tau2) / sigma_2tau2
+        return SaddleSolution((lam1, lam2), "linearized", "squeezed-double")

@@ -192,3 +192,39 @@ def test_light_cone_report_shares_one_counting_function(dimer, monkeypatch):
     report = entropy.entropy_symmetric_multi(18.0, 6.0, 40.0, [22.0, 21.0, 23.0], dimer.occupation)
     assert counts == {"counting_function": 1, "_quantum_integral": 1}
     assert [label for label, _ in report.quantum_corrections] == [f"chi[1,{l}]_AAbar" for l in (1, 2, 3)]
+
+
+def test_curve_integrates_the_t_independent_terms_once_for_its_grid(tmp_path, monkeypatch, capsys):
+    # the window and the variance steps do not depend on t: the 3 steps once,
+    # then the 4 crossover tails of the classical term at t = 24
+    counts = _count_calls(monkeypatch, saddle.charge_window, fluctuations.variance_symmetric)
+    argv = ["curve", "--state", "dimer", "--ell", "40", "--tau", "6", "--t-grid", "18,24", "--q", "21,20,22"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0, capsys.readouterr().err
+    assert counts == {"charge_window": 1, "variance_symmetric": 7}
+
+
+def test_curve_solves_each_saddle_once_for_its_grid(tmp_path, monkeypatch, capsys):
+    counts = _count_calls(monkeypatch, saddle.solve_saddle_symmetric_single)
+    argv = ["curve", "--state", "dimer", "--ell", "40", "--tau", "6", "--t-grid", "6:30:25", "--q", "21"]
+    assert main([*argv, "--out", str(tmp_path), "--format", "json"]) == 0, capsys.readouterr().err
+    assert counts == {"solve_saddle_symmetric_single": 1}
+    assert len(json.loads((tmp_path / "curve.json").read_text())["rows"]) == 25
+
+
+def test_squeezed_average_integrates_each_variance_once(tmp_path, monkeypatch, capsys):
+    # sigma_tau^2, sigma_2tau^2, the saturated variance and the window serve
+    # the outcome law and the saddle of every distinct outcome pair
+    counts = _count_calls(monkeypatch, fluctuations.variance_squeezed, fluctuations.variance_saturated,
+                          saddle.charge_window)
+    argv = ["average", "--state", "tilted:1.1", "--ell", "40", "--tau", "3", "--t", "14", "--m", "2",
+            "--samples", "200", "--seed", "1"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0, capsys.readouterr().err
+    assert counts == {"variance_squeezed": 2, "variance_saturated": 1, "charge_window": 1}
+
+
+def test_curve_makes_one_counting_sweep_per_final_time(tmp_path, monkeypatch, capsys):
+    # every counting function of one (protocol, t) comes from one kernel call
+    counts = _count_calls(monkeypatch, counting._measures)
+    argv = ["curve", "--state", "dimer", "--ell", "40", "--tau", "6", "--t-grid", "21,24", "--q", "21,20,22"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0, capsys.readouterr().err
+    assert counts == {"_measures": 2}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chargequench import counting
 from chargequench.counting import (
     FINAL_BOTH_IN,
     FINAL_BOTH_OUT,
@@ -18,10 +19,13 @@ from chargequench.counting import (
     counting_measure,
     enumerate_classes,
     light_cone_weight,
+    shared_suffix_chis,
+    shared_suffix_classes,
     velocity_breakpoints,
 )
 from chargequench.errors import RegimeError
 from chi_oracles import chi_closed_forms, chi_shared_suffix, paper_chi, single_measurement_chis
+from interval_oracle import classifier_measure
 
 
 def test_counting_measure_shared_once_formula():
@@ -183,6 +187,15 @@ def test_class_validation():
         MeasurementProtocol(ell=5.0, tau=2.0, m=2, t=3.0)  # t < m tau
 
 
+def _classes_with_every_pin(m):
+    """Every `enumerate_classes(m)` class with each pin and unpinned, and the
+    all-zero classes with every final tag (infinite measure for AbarAbar)."""
+    classes = [ConfigurationClass(cls.counts, cls.final, member)
+               for cls in enumerate_classes(m) for member in (RIGHT_MOVER, LEFT_MOVER, None)]
+    return classes + [ConfigurationClass((0,) * m, final, RIGHT_MOVER)
+                      for final in (FINAL_BOTH_IN, FINAL_SHARED, FINAL_BOTH_OUT)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     m=st.integers(0, 3),
@@ -194,8 +207,9 @@ def test_class_validation():
     ks=st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=8),
 )
 def test_counting_function_matches_classifier(m, ell, tau, extra, gap, ell_b, ks):
-    # the engine interpolates between breakpoints: it must reproduce the
-    # scalar classifier at any momentum, for A itself and the geometry regions
+    # the kernel sweep must give the interval classifier's measure for every
+    # class, pin and region at every breakpoint, inf exactly where it is inf,
+    # and the engine's interpolation must reproduce it at any momentum
     t = m * tau + extra
     protocol = MeasurementProtocol(ell=ell, tau=tau, m=m, t=t)
     if m == 0:
@@ -203,26 +217,40 @@ def test_counting_function_matches_classifier(m, ell, tau, extra, gap, ell_b, ks
         shared = ConfigurationClass((), FINAL_SHARED, RIGHT_MOVER)
         grid = [*ks, *np.linspace(-math.pi, math.pi, 17)]
         for k, value in zip(grid, light_cone_weight(t, ell)(np.array(grid))):
-            assert abs(value - counting_measure(shared, k, protocol)) <= 1e-12 * max(1.0, ell), k
+            want = classifier_measure(shared, abs(math.sin(k)), protocol)
+            assert abs(value - want) <= 1e-12 * max(1.0, ell), k
     reach = t + ell + 1.0
     regions = {
         "subsystem": None,
         "complement": [(-reach, 0.0), (ell, ell + reach)],
         "disjoint": [(ell + gap, ell + gap + ell_b)],
     }
+    classes = _classes_with_every_pin(m)
     for name, region in regions.items():
-        for cls in enumerate_classes(m):
-            try:
-                chi = counting_function([cls], protocol, region)
-            except ValueError:
-                # refused only where the classifier reports an infinite measure
-                assert region is not None
-                assert any(math.isinf(counting_measure(cls, math.asin(v), protocol, region))
-                           for v in velocity_breakpoints(protocol, region))
+        v = velocity_breakpoints(protocol, region)
+        measures = counting._measures(classes, protocol, v, region)
+        for cls, row in zip(classes, measures):
+            want = np.array([classifier_measure(cls, x, protocol, region) for x in v])
+            assert np.array_equal(np.isinf(row), np.isinf(want)), (name, cls.label())
+            finite = np.isfinite(want)
+            assert np.all(np.abs(row[finite] - want[finite]) <= 1e-12 * max(1.0, ell)), (name, cls.label())
+            if not finite.all():
+                with pytest.raises(ValueError):
+                    counting_function([cls], protocol, region)
                 continue
+            chi = counting_function([cls], protocol, region)
             for k, value in zip(ks, chi(np.array(ks))):
-                want = counting_measure(cls, k, protocol, region)
+                want = classifier_measure(cls, abs(math.sin(k)), protocol, region)
                 assert abs(value - want) <= 1e-12 * max(1.0, ell), (name, cls.label(), k)
+
+
+def test_shared_suffix_chis_are_the_per_step_counting_functions():
+    # one sweep for all steps gives each step's counting function bit for bit
+    for m, t in ((1, 24.0), (2, 13.0), (3, 18.0), (3, 21.0), (3, 24.0), (4, 60.0)):
+        protocol = MeasurementProtocol(ell=40.0, tau=6.0, m=m, t=t)
+        for l, chi in enumerate(shared_suffix_chis(protocol), 1):
+            alone = counting_function(shared_suffix_classes(l, m), protocol)
+            assert np.array_equal(chi.v, alone.v) and np.array_equal(chi.values, alone.values), (m, t, l)
 
 
 def test_counting_function_kinks_and_refusal():

@@ -1,6 +1,6 @@
 import numpy as np
 
-from chargequench.intervals import IntervalSet, window_hull
+from interval_oracle import IntervalSet, window_hull
 
 
 def _random_set(rng, n=4, span=10.0):
