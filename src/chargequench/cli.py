@@ -131,10 +131,11 @@ def _reports(state, t_grid, tau, ell, q_rows, config):
     """``(t, reports)`` for each final time t of the grid: the reports of the
     rows of outcomes, in one batch per t.  The terms that do not depend on t
     are integrated once for the grid."""
-    protocol = MeasurementProtocol(ell=ell, tau=tau, m=len(q_rows[0]), t=t_grid[0])
-    terms = ProtocolTerms(protocol, state.occupation, config)
+    m = len(q_rows[0])
+    period = PeriodTerms(tau, m, ell, state.occupation, config)
     for t in t_grid:
-        yield t, terms.at(t).reports(q_rows)
+        protocol = MeasurementProtocol(ell=ell, tau=tau, m=m, t=t)
+        yield t, ProtocolTerms(protocol, state.occupation, config, period).reports(q_rows)
 
 
 def _report_columns(report):
@@ -262,17 +263,8 @@ def _cmd_neel(job: JobSpec):
     exacts = [neel_entropy_exact(t, tau, [dq], ell, config=config) for dq in dqs]
     saddle_reports = entropy_symmetric_single(t, tau, ell, ell / 2 + np.array(dqs), state.occupation,
                                               config=config)
-    rows = []
-    for dq, exact, saddle_report in zip(dqs, exacts, saddle_reports):
-        ent_p, ent_m, log_term = stirling_expansion(dq, tau)
-        rows.append(
-            (
-                dq,
-                sum(exact.corrections),
-                saddle_report.total - saddle_report.baseline,
-                ent_p + ent_m + log_term,
-            )
-        )
+    rows = [(dq, sum(exact.corrections), report.total - report.baseline, sum(stirling_expansion(dq, tau)))
+            for dq, exact, report in zip(dqs, exacts, saddle_reports)]
     header = ["dq", "exact", "saddle", "stirling"]
     return _write_artifact(job, "neel", header, rows, {"tau": tau, "t": t, "ell": ell})
 
@@ -313,19 +305,13 @@ def _cmd_oracle(job: JobSpec):
     from .ed_oracle import run_protocol
 
     p = job.params
-    forced = None
-    if p.get("outcomes"):
-        forced = [int(v) for v in str(p["outcomes"]).split(",")]
+    forced = [int(v) for v in str(p["outcomes"]).split(",")] if p.get("outcomes") else None
     record, series = run_protocol(
         p["state"], int(p["L"]), int(p["ell"]), p["tau"], int(p.get("m", 1)), p["t"],
         seed=job.seed, forced_outcomes=forced,
     )
-    rows = [(time, s_a, s_num, s_conf, ds) for time, s_a, s_num, s_conf, ds in series]
-    paths = _write_artifact(
-        job, "oracle_series", ["t", "S_A", "S_num", "S_conf", "DeltaS_A"], rows,
-        {"events": json.dumps(record.events)},
-    )
-    return paths
+    return _write_artifact(job, "oracle_series", ["t", "S_A", "S_num", "S_conf", "DeltaS_A"], series,
+                           {"events": json.dumps(record.events)})
 
 
 _COMMANDS = {

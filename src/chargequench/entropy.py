@@ -11,7 +11,6 @@ the value is omitted from the total and flagged.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
@@ -34,11 +33,7 @@ from .counting import (
     shared_suffix_classes,
 )
 from .errors import RegimeError
-from .fluctuations import (
-    asymmetry,
-    number_entropy,
-    variance_symmetric,
-)
+from .fluctuations import asymmetry, number_entropy, variance_symmetric
 from .quadrature import DEFAULT_CONFIG, momentum_integral
 from .saddle import PeriodTerms, _linear_chain
 from .states import OccupationFunction, Pairing, pair_entropy
@@ -299,21 +294,16 @@ class ProtocolTerms:
     """The outcome-independent terms of every measured-entropy report of one
     protocol: the unmeasured baseline, the counting function of each quantum
     term and the classical `log_n_correction`, plus ``period``, the
-    `saddle.PeriodTerms` that do not depend on the final time, which `at`
-    shares between final times.  Each is integrated once, when first read,
-    so that all reports of a job, its analytic average and its Monte-Carlo
-    run share them; `reports` builds the reports of any number of outcome
-    rows in one batch."""
+    `saddle.PeriodTerms` that do not depend on the final time, which the
+    protocols of several final times can share.  Each is integrated once,
+    when first read, so that all reports of a job, its analytic average and
+    its Monte-Carlo run share them; `reports` builds the reports of any
+    number of outcome rows in one batch."""
 
     def __init__(self, protocol: MeasurementProtocol, occ: OccupationFunction, config=DEFAULT_CONFIG,
                  period: PeriodTerms | None = None):
         self.protocol, self.occ, self.config = protocol, occ, config
         self.period = PeriodTerms(protocol.tau, protocol.m, protocol.ell, occ, config) if period is None else period
-
-    def at(self, t) -> "ProtocolTerms":
-        """The terms of the same measurements read at final time t: ``period``
-        is shared, not integrated again."""
-        return ProtocolTerms(dataclasses.replace(self.protocol, t=t), self.occ, self.config, self.period)
 
     @functools.cached_property
     def baseline(self) -> float:
@@ -402,8 +392,6 @@ def entropy_symmetric_single(
     log-prefactor.  ``q`` is an outcome, giving its report, or an array of
     outcomes, giving the list of their reports (one batch).
     """
-    if t < tau:
-        raise ValueError("final time precedes the measurement")
     terms = _terms(MeasurementProtocol(ell=ell, tau=tau, m=1, t=t), occ, config,
                    Pairing.SYMMETRIC_PARTICLE_HOLE)
     qs = np.asarray(q, dtype=float)
@@ -435,8 +423,6 @@ def entropy_squeezed_single(
     Pairs measured once contribute with tilt lambda; pairs fully inside A at
     the measurement carry charge 0 or 2 and contribute with tilt 2*lambda.
     """
-    if t < tau:
-        raise ValueError("final time precedes the measurement")
     protocol = MeasurementProtocol(ell=ell, tau=tau, m=1, t=t)
     return next(_terms(protocol, occ, config, Pairing.SQUEEZED_PAIR).reports([(q,)]))
 

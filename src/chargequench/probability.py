@@ -19,7 +19,7 @@ import numpy as np
 from .counting import MeasurementProtocol
 from .entropy import ProtocolTerms
 from .errors import FeasibilityError, RegimeError
-from .fluctuations import drude_weight, variance_squeezed, variance_steps
+from .fluctuations import drude_weight, variance_steps
 from .neel_exact import neel_charged_moment, neel_exact_pdf_logweight
 from .quadrature import DEFAULT_CONFIG, integrate
 from .saddle import charge_window
@@ -57,13 +57,10 @@ class OutcomeDistribution:
         return self.window
 
 
-def squeezed_single_distribution(tau, ell, occ, qbar, config=DEFAULT_CONFIG, *, variance=None):
-    """Gaussian law of one outcome on a squeezed state, of the squeezed
-    variance at tau (``variance``, where the caller has it)."""
-    var = variance_squeezed(tau, ell, occ, config=config) if variance is None else variance
-    return OutcomeDistribution(
-        KIND_GAUSSIAN, qbar, (var,), tau, ell, None, first_step_unrestricted=True
-    )
+def squeezed_single_distribution(tau, ell, qbar, variance):
+    """Gaussian law of one outcome on a squeezed state: mean ``qbar``, the
+    squeezed ``variance`` at tau."""
+    return OutcomeDistribution(KIND_GAUSSIAN, qbar, (variance,), tau, ell, None, first_step_unrestricted=True)
 
 
 def chain_distribution(tau, m, ell, occ, config=DEFAULT_CONFIG, *, steps=None, window=None):
@@ -227,8 +224,7 @@ def _outcome_law(terms: ProtocolTerms) -> OutcomeDistribution:
                                   window=period.charge_window)
     qbar = p.ell * occ.mean_density
     if p.m == 1:
-        return squeezed_single_distribution(p.tau, p.ell, occ, qbar, config=config,
-                                            variance=period.squeezed_variance)
+        return squeezed_single_distribution(p.tau, p.ell, qbar, period.squeezed_variance)
     if p.m != 2:
         raise RegimeError("squeezed Monte-Carlo supports m in {1, 2}")
     var1 = period.squeezed_variance

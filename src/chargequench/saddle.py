@@ -213,9 +213,8 @@ def solve_saddle_symmetric_multi(
     """
     if occ.pairing is not Pairing.SYMMETRIC_PARTICLE_HOLE:
         raise ValueError("use solve_saddle_squeezed for squeezed-pair states")
-    window = charge_window(tau, ell, config=config)
-    steps = variance_steps(tau, len(dq_seq), ell, occ, config=config)
-    return _linear_chain([dq_seq], window, steps, tau, ell)[0]
+    period = PeriodTerms(tau, len(dq_seq), ell, occ, config)
+    return _linear_chain([dq_seq], period.charge_window, period.steps, tau, ell)[0]
 
 
 def _linear_chain(dq_rows, window, steps, tau, ell) -> list[SaddleSolution]:
@@ -285,13 +284,12 @@ class PeriodTerms:
         exact single saddle of a symmetric state (m = 1) or the squeezed one."""
         key = tuple(q_seq)
         if key not in self._saddles:
-            solve = self._squeezed if self.occ.pairing is Pairing.SQUEEZED_PAIR else self._symmetric_single
-            self._saddles[key] = solve(key)
+            if self.occ.pairing is Pairing.SQUEEZED_PAIR:
+                self._saddles[key] = self._squeezed(key)
+            else:
+                self._saddles[key] = solve_saddle_symmetric_single(
+                    key[0] - self.ell / 2.0, self.tau, self.ell, self.occ, config=self.config, window=self.charge_window)
         return self._saddles[key]
-
-    def _symmetric_single(self, q_seq) -> SaddleSolution:
-        return solve_saddle_symmetric_single(q_seq[0] - self.ell / 2.0, self.tau, self.ell, self.occ,
-                                             config=self.config, window=self.charge_window)
 
     def _squeezed(self, q_seq) -> SaddleSolution:
         m = len(q_seq)
