@@ -29,7 +29,6 @@ from .errors import (
     RegimeError,
 )
 from .extensions import GeometrySpec, fcs_generating_function, geometry_entropy
-from .fluctuations import variance_symmetric
 from .neel_exact import neel_entropy_exact, stirling_expansion
 from .probability import (
     chain_distribution,
@@ -183,20 +182,18 @@ def _cmd_saddle(job: JobSpec):
     config = job.quad()
     occ = state.occupation
     rows = []
+    period = PeriodTerms(tau, 1, ell, occ, config)  # one window and one variance for every dq
     if occ.pairing is Pairing.SQUEEZED_PAIR:
-        period = PeriodTerms(tau, 1, ell, occ, config)  # one squeezed variance for every dq
         for dq in dq_grid:
             # dq from the mean charge; the saddle is linear, exact = linearized
             sol = period.saddle((ell * occ.mean_density + dq,))
             rows.append((dq, sol.lambdas[0], sol.lambdas[0], 1, sol.regime))
     else:
-        # one window and one variance for every dq of the job
         window, flags = _feasible_window(dq_grid, tau, ell, occ.pairing, config)
-        variance = variance_symmetric(tau, ell, occ, config=config)
         for dq, feasible in zip(dq_grid, flags):
             if feasible:
                 exact = solve_saddle_symmetric_single(dq, tau, ell, occ, config=config, window=window)
-                rows.append((dq, exact.lambdas[0], dq / variance, 1, exact.regime))
+                rows.append((dq, exact.lambdas[0], dq / period.variance(tau), 1, exact.regime))
             else:
                 rows.append((dq, math.nan, math.nan, 0, "infeasible"))
     header = ["dq", "lambda_exact", "lambda_linearized", "feasible", "regime"]
@@ -292,11 +289,9 @@ def _cmd_geometry(job: JobSpec):
     )
     config = job.quad()
     t_grid = parse_grid(p["t_grid"]) if "t_grid" in p else [p["t"]]
-    rows = []
-    for t in t_grid:
-        report = geometry_entropy(geom, t, ell, q, state.occupation, config=config)
-        quantum = sum(v for _, v in report.quantum_corrections)
-        rows.append((t, q, report.baseline, quantum, report.total))
+    reports = geometry_entropy(geom, np.array(t_grid), ell, q, state.occupation, config=config)
+    rows = [(t, q, report.baseline, sum(v for _, v in report.quantum_corrections), report.total)
+            for t, report in zip(t_grid, reports)]
     header = ["t", "q", "baseline", "quantum", "total"]
     return _write_artifact(job, "geometry", header, rows, {"geometry": p["geometry"]})
 

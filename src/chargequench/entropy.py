@@ -33,7 +33,7 @@ from .counting import (
     shared_suffix_classes,
 )
 from .errors import RegimeError
-from .fluctuations import asymmetry, number_entropy, variance_symmetric
+from .fluctuations import asymmetry, number_entropy
 from .quadrature import DEFAULT_CONFIG, momentum_integral
 from .saddle import PeriodTerms, _linear_chain
 from .states import OccupationFunction, Pairing, pair_entropy
@@ -107,31 +107,25 @@ def _replica_width(n):
     return n * (1 - n) * (1 - 2 * n) * log_ratio
 
 
-def _hessian_general_symmetric(t, tau, ell, occ, config):
+def _chi_integral(chi, density, occ, config):
+    """(1/2pi) int dk chi(k) density(n(k)), split at chi's kinks."""
+    value, _ = momentum_integral(lambda k: chi(k) * density(occ.evaluate(k)), kinks=chi.kinks, config=config)
+    return value
+
+
+def _hessian_general_symmetric(terms):
     # Diagonal-plus-rank-one Hessian of the multiplier integral, evaluated at
     # zeroth order in the saddle, with b(alpha) = int chi (n(1-n))^alpha /
     # (n^alpha + (1-n)^alpha)^2 and its alpha-derivative in closed form.
-    protocol = MeasurementProtocol(ell=ell, tau=tau, m=1, t=t)
-    chi1_shared, chi1_out = _counting_functions(
-        [[ConfigurationClass((1,), final, RIGHT_MOVER)] for final in (FINAL_SHARED, FINAL_BOTH_OUT)], protocol)
-
-    def integral(chi, density):
-        def integrand(k):
-            return chi(k) * density(occ.evaluate(k))
-
-        # one protocol: both chis share the breakpoints
-        value, _ = momentum_integral(integrand, kinks=chi1_shared.kinks, config=config)
-        return value
-
-    a1 = integral(chi1_out, lambda n: n * (1 - n))
-    b1 = integral(chi1_shared, lambda n: n * (1 - n))
+    occ, config = terms.occ, terms.config
+    chi_shared = terms.chis[0][1]
+    chi_out = counting_function([ConfigurationClass((1,), FINAL_BOTH_OUT, RIGHT_MOVER)], terms.protocol)
+    a1 = _chi_integral(chi_out, lambda n: n * (1 - n), occ, config)
+    b1 = _chi_integral(chi_shared, lambda n: n * (1 - n), occ, config)
     if a1 <= 1e-14:
         return None
-    db = integral(chi1_shared, _replica_width)
-    value = -0.5 * math.log(2 * math.pi) + 0.5 * (
-        math.log(a1 / (a1 + b1)) + b1 / (a1 + b1) + db / (a1 + b1)
-    )
-    return value
+    db = _chi_integral(chi_shared, _replica_width, occ, config)
+    return -0.5 * math.log(2 * math.pi) + 0.5 * (math.log(a1 / (a1 + b1)) + b1 / (a1 + b1) + db / (a1 + b1))
 
 
 def log_n_correction(
@@ -151,16 +145,21 @@ def log_n_correction(
     return ProtocolTerms(MeasurementProtocol(ell=ell, tau=tau, m=m, t=t), occ, config).classical
 
 
-def _log_n_symmetric(t, tau, ell, occ, deltas, config):
-    """`log_n_correction` of a symmetric state, given its `variance_steps`."""
-    m = len(deltas)
+def _log_n_symmetric(terms):
+    """`log_n_correction` of a symmetric state, from its `ProtocolTerms`."""
+    p, period = terms.protocol, terms.period
+    t, tau, ell, m = p.t, p.tau, p.ell, p.m
+    try:
+        deltas = period.steps
+    except RegimeError:  # the variance saturated between two steps
+        return None, LOGN_UNKNOWN
     if t <= ell / 2 + 1e-12:
         value = sum(-0.5 * math.log(2 * math.pi * d) for d in deltas)
         return value, "symmetric-small-time"
     if m == 1 and abs(t - tau) < 1e-12:
         return -0.5 * math.log(2 * math.pi * deltas[0]), "symmetric-at-measurement"
     if tau * m < ell / 2:
-        tails = [variance_symmetric(t - l * tau, ell, occ, config=config) for l in range(m + 1)]
+        tails = [period.variance(t - l * tau) for l in range(m + 1)]
         total = 0.0
         for l in range(1, m + 1):
             denom = deltas[l - 1] + tails[l] - tails[l - 1]
@@ -170,7 +169,7 @@ def _log_n_symmetric(t, tau, ell, occ, deltas, config):
         tag = "symmetric-crossover" if m == 1 else "symmetric-crossover-multi"
         return total, tag
     if m == 1 and t > tau:
-        value = _hessian_general_symmetric(t, tau, ell, occ, config)
+        value = _hessian_general_symmetric(terms)
         if value is not None:
             return value, "symmetric-hessian-numeric"
     return None, LOGN_UNKNOWN
@@ -182,7 +181,7 @@ def _log_n_squeezed(t, period: PeriodTerms):
     # of a tau = 0 measurement; every m is washed out from 10 ell on
     tau, ell, m = period.tau, period.ell, period.m
     if m == 1 and abs(t - tau) < 1e-12:
-        sigma2 = period.squeezed_variance
+        sigma2 = period.variance(tau)
         delta_s = asymmetry(tau, ell, period.occ, config=period.config)
         if not math.isfinite(delta_s) or sigma2 <= 0:
             return None, LOGN_UNKNOWN
@@ -293,12 +292,13 @@ _SQUEEZED_MEMBERS = {1: ((1,), (2,)), 2: ((2, 2), (2, 1), (1, 1), (0, 1))}
 class ProtocolTerms:
     """The outcome-independent terms of every measured-entropy report of one
     protocol: the unmeasured baseline, the counting function of each quantum
-    term and the classical `log_n_correction`, plus ``period``, the
-    `saddle.PeriodTerms` that do not depend on the final time, which the
-    protocols of several final times can share.  Each is integrated once,
-    when first read, so that all reports of a job, its analytic average and
-    its Monte-Carlo run share them; `reports` builds the reports of any
-    number of outcome rows in one batch."""
+    term (``chis[0]`` is chi^(1), which the classical Hessian and the
+    analytic average read too) and the classical `log_n_correction`, plus
+    ``period``, the `saddle.PeriodTerms` that do not depend on the final time
+    (every variance sigma_T^2), which the protocols of several final times
+    can share.  Each is integrated once, when first read, so that all reports
+    of a job, its analytic average and its Monte-Carlo run share them;
+    `reports` builds the reports of any number of outcome rows in one batch."""
 
     def __init__(self, protocol: MeasurementProtocol, occ: OccupationFunction, config=DEFAULT_CONFIG,
                  period: PeriodTerms | None = None):
@@ -335,14 +335,9 @@ class ProtocolTerms:
     def classical(self) -> tuple[float | None, str]:
         """``(value, tag)`` of the log prefactor, ``(None, tag)`` where no
         convention is known (see `log_n_correction`)."""
-        p = self.protocol
         if self.occ.pairing is Pairing.SQUEEZED_PAIR:
-            return _log_n_squeezed(p.t, self.period)
-        try:
-            steps = self.period.steps
-        except RegimeError:  # the variance saturated between two steps
-            return None, LOGN_UNKNOWN
-        return _log_n_symmetric(p.t, p.tau, p.ell, self.occ, steps, self.config)
+            return _log_n_squeezed(self.protocol.t, self.period)
+        return _log_n_symmetric(self)
 
     def known_classical(self) -> tuple[float, str]:
         """`classical`, raising `RegimeError` where no convention is known."""
@@ -462,24 +457,16 @@ def averaged_correction(
     if terms is None:
         terms = ProtocolTerms(protocol, occ, config)
     classical, tag = terms.known_classical()
-    sigma_tau = terms.period.steps[0]
+    period = terms.period
+    sigma_tau = period.steps[0]
     if m == 1:
-        sigma_t = variance_symmetric(t, ell, occ, config=config)
-        sigma_tmtau = variance_symmetric(t - tau, ell, occ, config=config)
-        (chi,) = shared_suffix_chis(protocol)
-        variance_term = -(sigma_t - sigma_tmtau) / (2 * sigma_tau)
+        variance_term = -(period.variance(t) - period.variance(t - tau)) / (2 * sigma_tau)
     else:
         if t > ell / 2:
             raise RegimeError("multi-measurement averages are implemented for t <= ell/2")
-        # inside the light cone every step's pairs weigh like the first period's
-        chi = light_cone_weight(tau, ell)
         variance_term = -0.5 * m
-
-    def integrand(k):
-        return chi(k) * _replica_width(occ.evaluate(k))
-
-    integral, _ = momentum_integral(integrand, kinks=chi.kinks, config=config)
-    config_term = -m * integral / (2 * sigma_tau)
+    # inside the light cone every step's pairs weigh like the first period's
+    config_term = -m * _chi_integral(terms.chis[0][1], _replica_width, occ, config) / (2 * sigma_tau)
     value = classical + variance_term + config_term
     breakdown = {
         "classical": classical,

@@ -169,6 +169,8 @@ def geometry_entropy(
     The complement case uses the saddle centred at ``L/2 - qbar``; the
     disjoint case at the mean charge of B.  No log-prefactor convention is
     known for these geometries; the classical term is flagged and omitted.
+    ``t`` is a final time, giving its report, or an array of final times,
+    giving the list of their reports (one saddle for all).
     """
     if occ.pairing is not Pairing.SQUEEZED_PAIR:
         raise ValueError("geometry variants are defined for squeezed-pair states")
@@ -182,39 +184,43 @@ def geometry_entropy(
     qbar_density = occ.mean_density
     nn_bar = variance_saturated(1.0, occ, config=config)  # (1/2pi) int n(1-n)
 
-    if geom.measured_region == MEASURE_COMPLEMENT:
+    complement = geom.measured_region == MEASURE_COMPLEMENT
+    if complement:
         big_l = geom.total_length
         if big_l <= ell:
             raise ValueError("complement geometry needs total length L > ell")
         center = big_l / 2.0 - qbar_density * ell
         sigma2 = 2.0 * (big_l - ell) * nn_bar
-        # Counting treats the complement as infinite (no wraparound); pairs
-        # farther than t + ell can never reach A by time t, so truncating
-        # there is exact.  L enters only through the saddle center/variance.
-        reach = t + ell + 1.0
-        region = [(-reach, 0.0), (ell, ell + reach)]
     else:
         if geom.distance < _HYDRO_MINIMUM or geom.ell_b < _HYDRO_MINIMUM:
             small.append("d/ell_b")
         center = qbar_density * geom.ell_b
         sigma2 = 2.0 * geom.ell_b * nn_bar
-        region = [(ell + geom.distance, ell + geom.distance + geom.ell_b)]
     if small:
         diagnostics["hydrodynamic-warning"] = (
             f"geometry scales below {_HYDRO_MINIMUM:g} sites: {', '.join(small)}"
         )
     if sigma2 <= 0:
         raise RegimeError("measured region carries no charge fluctuations")
-
-    protocol = MeasurementProtocol(ell=ell, tau=0.0, m=1, t=t, outcomes=(q,))
-    # Unpinned class at half weight: asymmetric measured regions feed A from
-    # one side only, so the two member pins are not equivalent here.
-    chi = counting_function([ConfigurationClass((2,), FINAL_SHARED, None)], protocol, region,
-                            weight=0.5)
     sol = SaddleSolution(((q - center) / sigma2,), "linearized", f"geometry-{geom.measured_region}")
-    (report,) = _measured_reports(
-        unmeasured_entropy(1.0, t, ell, occ, config=config), (None, "geometry-logN-unknown"),
-        [("chi~[2]_AAbar", chi)], [(sol, (2 * sol.lambdas[0],))], occ, config,
-        saddle_center=center, saddle_variance=sigma2, **diagnostics,
-    )
-    return report
+
+    ts = np.asarray(t, dtype=float)
+    reports = []
+    for t in ts.ravel().tolist():
+        # Counting treats the complement as infinite (no wraparound); pairs
+        # farther than t + ell can never reach A by time t, so truncating
+        # there is exact.  L enters only through the saddle center/variance.
+        reach = t + ell + 1.0
+        region = ([(-reach, 0.0), (ell, ell + reach)] if complement
+                  else [(ell + geom.distance, ell + geom.distance + geom.ell_b)])
+        protocol = MeasurementProtocol(ell=ell, tau=0.0, m=1, t=t, outcomes=(q,))
+        # Unpinned class at half weight: asymmetric measured regions feed A from
+        # one side only, so the two member pins are not equivalent here.
+        chi = counting_function([ConfigurationClass((2,), FINAL_SHARED, None)], protocol, region,
+                                weight=0.5)
+        reports += _measured_reports(
+            unmeasured_entropy(1.0, t, ell, occ, config=config), (None, "geometry-logN-unknown"),
+            [("chi~[2]_AAbar", chi)], [(sol, (2 * sol.lambdas[0],))], occ, config,
+            saddle_center=center, saddle_variance=sigma2, **diagnostics,
+        )
+    return reports[0] if ts.ndim == 0 else reports

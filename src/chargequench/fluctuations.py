@@ -1,5 +1,6 @@
 """Charge-fluctuation functionals: variances, Drude self weight, number
-entropy and the short-time entanglement asymmetry."""
+entropy and the short-time entanglement asymmetry.  A protocol's variances
+are read through `saddle.PeriodTerms.variance`, once per distinct time."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ import math
 import numpy as np
 
 from .counting import light_cone_weight
-from .errors import RegimeError
 from .quadrature import DEFAULT_CONFIG, momentum_integral
 from .states import OccupationFunction, Pairing
 
@@ -33,25 +33,6 @@ def variance_symmetric(tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG)
     weight = light_cone_weight(tau, ell)
     value, _ = momentum_integral(lambda k: weight(k) * _nn(occ, k), kinks=weight.kinks, config=config)
     return value
-
-
-def variance_steps(tau, m, ell, occ: OccupationFunction, config=DEFAULT_CONFIG):
-    """The variance each period adds, sigma_{l tau}^2 - sigma_{(l-1) tau}^2
-    for l = 1..m, with sigma_0^2 = 0 exactly.
-
-    These set the Gaussian outcome steps, the multiplier chain and the
-    classical correction.  Raises RegimeError once the variance saturates
-    (a step of at most 1e-14), where the chain is singular.
-    """
-    sigmas = [0.0] + [variance_symmetric(l * tau, ell, occ, config=config) for l in range(1, m + 1)]
-    steps = tuple(sigmas[l] - sigmas[l - 1] for l in range(1, m + 1))
-    for l, step in enumerate(steps, 1):
-        if step <= 1e-14:
-            raise RegimeError(
-                f"charge variance saturated between measurements {l - 1} and {l} "
-                f"(tau = {tau:g}, ell = {ell:g}); the multiplier chain is singular"
-            )
-    return steps
 
 
 def variance_squeezed(tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG):

@@ -19,10 +19,10 @@ import numpy as np
 from .counting import MeasurementProtocol
 from .entropy import ProtocolTerms
 from .errors import FeasibilityError, RegimeError
-from .fluctuations import drude_weight, variance_steps
+from .fluctuations import drude_weight
 from .neel_exact import neel_charged_moment, neel_exact_pdf_logweight
 from .quadrature import DEFAULT_CONFIG, integrate
-from .saddle import charge_window
+from .saddle import PeriodTerms
 from .states import OccupationFunction, Pairing
 
 KIND_GAUSSIAN = "gaussian"
@@ -57,21 +57,11 @@ class OutcomeDistribution:
         return self.window
 
 
-def squeezed_single_distribution(tau, ell, qbar, variance):
-    """Gaussian law of one outcome on a squeezed state: mean ``qbar``, the
-    squeezed ``variance`` at tau."""
-    return OutcomeDistribution(KIND_GAUSSIAN, qbar, (variance,), tau, ell, None, first_step_unrestricted=True)
-
-
-def chain_distribution(tau, m, ell, occ, config=DEFAULT_CONFIG, *, steps=None, window=None):
-    """Gaussian law of m outcomes on a symmetric state: steps of the
-    `variance_steps`, each inside the `charge_window`.  ``steps`` and
-    ``window``, where the caller has them, are not integrated again."""
-    if steps is None:
-        steps = variance_steps(tau, m, ell, occ, config=config)
-    if window is None:
-        window = charge_window(tau, ell, config=config)
-    return OutcomeDistribution(KIND_GAUSSIAN, ell / 2.0, steps, tau, ell, window)
+def chain_distribution(tau, m, ell, occ, config=DEFAULT_CONFIG):
+    """Gaussian law of m outcomes every tau (see `_outcome_law`): on a
+    symmetric state steps of the `PeriodTerms.steps` from ell/2, each inside
+    the `charge_window`."""
+    return _outcome_law(PeriodTerms(tau, m, ell, occ, config))
 
 
 def neel_exact_distribution(tau, ell, m: int = 1):
@@ -211,27 +201,25 @@ def monte_carlo_average(
         terms = ProtocolTerms(protocol, occ, config)
     if occ.pairing is Pairing.SYMMETRIC_PARTICLE_HOLE:
         terms.known_classical()
-    rows, counts = _distinct_draws(seed, distribution or _outcome_law(terms), samples)
+    rows, counts = _distinct_draws(seed, distribution or _outcome_law(terms.period), samples)
     return _count_weighted_mean([report.total for report in terms.reports(rows)], counts)
 
 
-def _outcome_law(terms: ProtocolTerms) -> OutcomeDistribution:
-    """The Gaussian law of the protocol's outcomes: the symmetric
-    `chain_distribution`, or a squeezed state's m in {1, 2} outcomes."""
-    p, occ, config, period = terms.protocol, terms.occ, terms.config, terms.period
+def _outcome_law(period: PeriodTerms) -> OutcomeDistribution:
+    """The Gaussian law of the outcomes of a `PeriodTerms`: the symmetric
+    chain, or a squeezed state's m in {1, 2} outcomes from the mean charge,
+    the first with the squeezed sigma_tau^2 and no window."""
+    tau, m, ell, occ = period.tau, period.m, period.ell, period.occ
     if occ.pairing is Pairing.SYMMETRIC_PARTICLE_HOLE:
-        return chain_distribution(p.tau, p.m, p.ell, occ, config, steps=period.steps,
-                                  window=period.charge_window)
-    qbar = p.ell * occ.mean_density
-    if p.m == 1:
-        return squeezed_single_distribution(p.tau, p.ell, qbar, period.squeezed_variance)
-    if p.m != 2:
-        raise RegimeError("squeezed Monte-Carlo supports m in {1, 2}")
-    var1 = period.squeezed_variance
-    # after the first projection the subsystem charge is pinned, so the
-    # second increment carries the ballistic (symmetric-like) variance
-    step2 = 2.0 * p.tau * drude_weight(occ, config=config)
-    return OutcomeDistribution(KIND_GAUSSIAN, qbar, (var1, step2), p.tau, p.ell, period.charge_window,
+        return OutcomeDistribution(KIND_GAUSSIAN, ell / 2.0, period.steps, tau, ell, period.charge_window)
+    if m not in (1, 2):
+        raise RegimeError("squeezed outcome laws support m in {1, 2}")
+    steps, window = (period.variance(tau),), None
+    if m == 2:
+        # after the first projection the subsystem charge is pinned, so the
+        # second increment carries the ballistic (symmetric-like) variance
+        steps, window = (*steps, 2.0 * tau * drude_weight(occ, config=period.config)), period.charge_window
+    return OutcomeDistribution(KIND_GAUSSIAN, ell * occ.mean_density, steps, tau, ell, window,
                                first_step_unrestricted=True)
 
 

@@ -11,7 +11,6 @@ unrestricted.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .counting import light_cone_weight
 from .errors import FeasibilityError, RegimeError
-from .fluctuations import variance_saturated, variance_squeezed, variance_steps
+from .fluctuations import variance_saturated, variance_squeezed, variance_symmetric
 from .quadrature import DEFAULT_CONFIG, momentum_integral
 from .states import OccupationFunction, Pairing
 
@@ -45,9 +44,6 @@ class SaddleSolution:
 
     def summary(self) -> dict:
         return {"lambdas": self.lambdas, "mode": self.mode, "regime": self.regime}
-
-    def to_json(self) -> str:
-        return json.dumps(self.summary())
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +215,7 @@ def solve_saddle_symmetric_multi(
 
 def _linear_chain(dq_rows, window, steps, tau, ell) -> list[SaddleSolution]:
     """`solve_saddle_symmetric_multi` for each row of charge steps, given the
-    `charge_window` and the `variance_steps` of (tau, ell): the suffix sums
+    `charge_window` and the `PeriodTerms.steps` of (tau, ell): the suffix sums
     are dq_l / step_l.  The window is checked on each step's largest |dq|."""
     dq = np.asarray(dq_rows, dtype=float)
     _check_window(np.max(np.abs(dq), axis=0).tolist(), window, tau, ell, Pairing.SYMMETRIC_PARTICLE_HOLE)
@@ -250,14 +246,23 @@ def solve_saddle_squeezed(
 
 class PeriodTerms:
     """The terms of m measurements every tau on [0, ell] that depend neither
-    on the outcomes nor on the final time: the `charge_window`, the
-    `variance_steps`, the squeezed variances sigma_tau^2, sigma_{2tau}^2 and
-    sigma_inf^2, and the saddle of each outcome row.  Each is integrated
-    once, when first read, for all final times that share the object."""
+    on the outcomes nor on the final time, each integrated once, when first
+    read, for all final times that share the object: the `charge_window`,
+    the variance sigma_T^2 of any time T (`variance`) and its `steps` per
+    period, the saturated variance sigma_inf^2 and each outcome row's saddle."""
 
     def __init__(self, tau, m, ell, occ: OccupationFunction, config=DEFAULT_CONFIG):
         self.tau, self.m, self.ell, self.occ, self.config = tau, m, ell, occ, config
-        self._saddles = {}
+        self._saddles, self._variances = {}, {}
+
+    def variance(self, time) -> float:
+        """sigma_T^2 at T = ``time``: `variance_symmetric` or
+        `variance_squeezed` by the state's pairing, integrated once per
+        distinct time."""
+        if time not in self._variances:
+            variance = variance_squeezed if self.occ.pairing is Pairing.SQUEEZED_PAIR else variance_symmetric
+            self._variances[time] = variance(time, self.ell, self.occ, config=self.config)
+        return self._variances[time]
 
     @functools.cached_property
     def charge_window(self) -> float:
@@ -265,15 +270,20 @@ class PeriodTerms:
 
     @functools.cached_property
     def steps(self) -> tuple[float, ...]:
-        return variance_steps(self.tau, self.m, self.ell, self.occ, config=self.config)
-
-    @functools.cached_property
-    def squeezed_variance(self) -> float:
-        return variance_squeezed(self.tau, self.ell, self.occ, config=self.config)
-
-    @functools.cached_property
-    def squeezed_variance_2tau(self) -> float:
-        return variance_squeezed(2 * self.tau, self.ell, self.occ, config=self.config)
+        """The variance each period adds, sigma_{l tau}^2 - sigma_{(l-1) tau}^2
+        for l = 1..m with sigma_0^2 = 0 exactly: the Gaussian outcome steps,
+        the multiplier chain and the classical correction of a symmetric
+        state.  Raises RegimeError once the variance saturates (a step of at
+        most 1e-14), where the chain is singular."""
+        sigmas = [0.0] + [self.variance(l * self.tau) for l in range(1, self.m + 1)]
+        steps = tuple(sigmas[l] - sigmas[l - 1] for l in range(1, self.m + 1))
+        for l, step in enumerate(steps, 1):
+            if step <= 1e-14:
+                raise RegimeError(
+                    f"charge variance saturated between measurements {l - 1} and {l} "
+                    f"(tau = {self.tau:g}, ell = {self.ell:g}); the multiplier chain is singular"
+                )
+        return steps
 
     @functools.cached_property
     def saturated_variance(self) -> float:
@@ -296,14 +306,14 @@ class PeriodTerms:
         if m not in (1, 2):
             raise RegimeError("squeezed saddles are implemented for m in {1, 2} only")
         qbar = self.ell * self.occ.mean_density
-        sigma_tau2 = self.squeezed_variance
+        sigma_tau2 = self.variance(self.tau)
         if m == 1:
             if sigma_tau2 <= 1e-14:
                 raise RegimeError("squeezed variance vanished; no fluctuations to measure")
             return SaddleSolution(((q_seq[0] - qbar) / sigma_tau2,), "linearized", "squeezed-single")
         dq2 = q_seq[1] - q_seq[0]
         _check_window((q_seq[0] - qbar, dq2), self.charge_window, self.tau, self.ell, self.occ.pairing)
-        sigma_2tau2 = self.squeezed_variance_2tau
+        sigma_2tau2 = self.variance(2 * self.tau)
         denom = 2 * sigma_tau2 - self.saturated_variance
         if abs(denom) <= 1e-12 or sigma_2tau2 <= 1e-14:
             raise RegimeError("singular squeezed two-measurement system")

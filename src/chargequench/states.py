@@ -181,11 +181,10 @@ class QuenchState:
     """An occupation function together with its mean subsystem charge density."""
 
     occupation: OccupationFunction
-    mean_subsystem_charge_density: float
 
-    @staticmethod
-    def from_occupation(occ: OccupationFunction):
-        return QuenchState(occ, occ.mean_density)
+    @property
+    def mean_subsystem_charge_density(self) -> float:
+        return self.occupation.mean_density
 
 
 def _mean_density(evaluate, pairing: Pairing, config: QuadratureConfig) -> float:
@@ -240,4 +239,4 @@ def get_state(name: str, config: QuadratureConfig = DEFAULT_CONFIG) -> QuenchSta
         occ = _load_custom(name.split(":", 1)[1], config)
     else:
         raise KeyError(f"unknown state {name!r}")
-    return QuenchState.from_occupation(occ)
+    return QuenchState(occ)

@@ -1,4 +1,3 @@
-import collections
 import json
 import math
 import os
@@ -126,31 +125,14 @@ def test_parser_is_built_once_and_reads_the_outdir_per_call(tmp_path, monkeypatc
     assert cli._build_parser.cache_info().misses == 1
 
 
-def _count_calls(monkeypatch, *functions):
-    """Counts calls of each function under every name a chargequench module
-    binds it to."""
-    counts = collections.Counter()
-    modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("chargequench.") and m]
-    for func in functions:
-        def counted(*args, _func=func, **kwargs):
-            counts[_func.__name__] += 1
-            return _func(*args, **kwargs)
-
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if value is func:
-                    monkeypatch.setattr(module, attr, counted)
-    return counts
-
-
 @pytest.mark.parametrize("m, quantum", [(1, 1), (3, 1)])
-def test_average_integrates_each_outcome_independent_term_once(m, quantum, tmp_path, monkeypatch, capsys):
+def test_average_integrates_each_outcome_independent_term_once(m, quantum, tmp_path, count_calls, capsys):
     # the analytic average and the Monte-Carlo run share one baseline, one
     # window, one classical term and each variance once; inside the light
     # cone every step shares one counting function, so all distinct outcomes
     # are one batched quantum integral
-    counts = _count_calls(monkeypatch, fluctuations.variance_symmetric, saddle.charge_window,
-                          entropy.unmeasured_entropy, entropy._log_n_symmetric, entropy._quantum_integral)
+    counts = count_calls(fluctuations.variance_symmetric, saddle.charge_window,
+                         entropy.unmeasured_entropy, entropy._log_n_symmetric, entropy._quantum_integral)
     argv = ["average", "--state", "dimer", "--ell", "40", "--tau", "6", "--t", "14" if m == 1 else "18",
             "--m", str(m), "--samples", "200", "--seed", "3"]
     assert main([*argv, "--out", str(tmp_path)]) == 0, capsys.readouterr().err
@@ -158,8 +140,8 @@ def test_average_integrates_each_outcome_independent_term_once(m, quantum, tmp_p
                       "_log_n_symmetric": 1, "_quantum_integral": quantum}
 
 
-def test_saddle_integrates_the_window_once_per_job(tmp_path, monkeypatch, capsys):
-    counts = _count_calls(monkeypatch, saddle.charge_window, fluctuations.variance_symmetric)
+def test_saddle_integrates_the_window_once_per_job(tmp_path, count_calls, capsys):
+    counts = count_calls(saddle.charge_window, fluctuations.variance_symmetric)
     argv = ["saddle", "--state", "dimer", "--ell", "40", "--tau", "6", "--dq=-3:3"]
     assert main([*argv, "--out", str(tmp_path), "--format", "json"]) == 0, capsys.readouterr().err
     assert counts == {"charge_window": 1, "variance_symmetric": 1}
@@ -168,13 +150,12 @@ def test_saddle_integrates_the_window_once_per_job(tmp_path, monkeypatch, capsys
 
 
 @pytest.mark.parametrize("m, quantum", [(1, 2), (2, 4)])
-def test_squeezed_average_runs_its_monte_carlo(m, quantum, tmp_path, monkeypatch, capsys):
+def test_squeezed_average_runs_its_monte_carlo(m, quantum, tmp_path, count_calls, capsys):
     # no analytic average exists for a squeezed state: the job writes a null
     # analytic value and the Monte-Carlo keys; the baseline and the classical
     # term are integrated once, and each counting function's corrections are
     # one batched quantum integral
-    counts = _count_calls(monkeypatch, entropy.unmeasured_entropy, entropy._log_n_squeezed,
-                          entropy._quantum_integral)
+    counts = count_calls(entropy.unmeasured_entropy, entropy._log_n_squeezed, entropy._quantum_integral)
     argv = ["average", "--state", "tilted:1.1", "--ell", "40", "--tau", "3", "--t", "14", "--m", str(m)]
     assert main([*argv, "--samples", "200", "--seed", "1", "--out", str(tmp_path)]) == 0, capsys.readouterr().err
     result = json.loads((tmp_path / "average.json").read_text())
@@ -185,46 +166,81 @@ def test_squeezed_average_runs_its_monte_carlo(m, quantum, tmp_path, monkeypatch
     assert main([*argv, "--out", str(tmp_path / "none")]) == cli.EXIT_REGIME
 
 
-def test_light_cone_report_shares_one_counting_function(dimer, monkeypatch):
+def test_light_cone_report_shares_one_counting_function(dimer, count_calls):
     # for 2t <= ell every step of an m = 3 report weighs 2|v_k| tau: one
     # counting function and one quantum integral for the three terms
-    counts = _count_calls(monkeypatch, counting.counting_function, entropy._quantum_integral)
+    counts = count_calls(counting.counting_function, entropy._quantum_integral)
     report = entropy.entropy_symmetric_multi(18.0, 6.0, 40.0, [22.0, 21.0, 23.0], dimer.occupation)
     assert counts == {"counting_function": 1, "_quantum_integral": 1}
     assert [label for label, _ in report.quantum_corrections] == [f"chi[1,{l}]_AAbar" for l in (1, 2, 3)]
 
 
-def test_curve_integrates_the_t_independent_terms_once_for_its_grid(tmp_path, monkeypatch, capsys):
-    # the window and the variance steps do not depend on t: the 3 steps once,
-    # then the 4 crossover tails of the classical term at t = 24
-    counts = _count_calls(monkeypatch, saddle.charge_window, fluctuations.variance_symmetric)
+def test_curve_integrates_the_t_independent_terms_once_for_its_grid(tmp_path, count_calls, capsys):
+    # the window and the variance steps do not depend on t: sigma^2 at the 3
+    # steps once, then of the crossover tails at t = 24 only sigma_24^2 is new
+    counts = count_calls(saddle.charge_window, fluctuations.variance_symmetric)
     argv = ["curve", "--state", "dimer", "--ell", "40", "--tau", "6", "--t-grid", "18,24", "--q", "21,20,22"]
     assert main([*argv, "--out", str(tmp_path)]) == 0, capsys.readouterr().err
-    assert counts == {"charge_window": 1, "variance_symmetric": 7}
+    assert counts == {"charge_window": 1, "variance_symmetric": 4}
 
 
-def test_curve_solves_each_saddle_once_for_its_grid(tmp_path, monkeypatch, capsys):
-    counts = _count_calls(monkeypatch, saddle.solve_saddle_symmetric_single)
+def test_curve_integrates_each_variance_once_for_its_grid(tmp_path, count_calls, capsys):
+    # the crossover tails sigma^2(t - l tau), l = 0..3, of t = 21..42 and the
+    # steps at 6, 12, 18 are the 40 distinct times 3, 4, ..., 42
+    counts = count_calls(fluctuations.variance_symmetric)
+    argv = ["curve", "--state", "dimer", "--ell", "40", "--tau", "6", "--t-grid", "18:42:25", "--q", "21,20,22"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0, capsys.readouterr().err
+    assert counts == {"variance_symmetric": 40}
+
+
+@pytest.mark.parametrize("tau, t, sweeps", [("6", "26", 1), ("25", "30", 2)])
+def test_average_reads_its_variances_and_chi_from_the_protocol_terms(tau, t, sweeps, tmp_path, count_calls,
+                                                                     capsys):
+    # sigma_tau^2, sigma_t^2 and sigma_{t-tau}^2 once each, shared by the
+    # crossover tails and the analytic average; chi^(1) is the reports'
+    # (one counting sweep), and the Hessian regime (tau > ell/2) adds chi_out
+    counts = count_calls(fluctuations.variance_symmetric, counting._measures)
+    argv = ["average", "--state", "dimer", "--ell", "40", "--tau", tau, "--t", t, "--samples", "200", "--seed", "3"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0, capsys.readouterr().err
+    assert counts == {"variance_symmetric": 3, "_measures": sweeps}
+
+
+def test_curve_solves_each_saddle_once_for_its_grid(tmp_path, count_calls, capsys):
+    counts = count_calls(saddle.solve_saddle_symmetric_single)
     argv = ["curve", "--state", "dimer", "--ell", "40", "--tau", "6", "--t-grid", "6:30:25", "--q", "21"]
     assert main([*argv, "--out", str(tmp_path), "--format", "json"]) == 0, capsys.readouterr().err
     assert counts == {"solve_saddle_symmetric_single": 1}
     assert len(json.loads((tmp_path / "curve.json").read_text())["rows"]) == 25
 
 
-def test_squeezed_average_integrates_each_variance_once(tmp_path, monkeypatch, capsys):
-    # sigma_tau^2, sigma_2tau^2, the saturated variance and the window serve
-    # the outcome law and the saddle of every distinct outcome pair
-    counts = _count_calls(monkeypatch, fluctuations.variance_squeezed, fluctuations.variance_saturated,
-                          saddle.charge_window)
-    argv = ["average", "--state", "tilted:1.1", "--ell", "40", "--tau", "3", "--t", "14", "--m", "2",
-            "--samples", "200", "--seed", "1"]
-    assert main([*argv, "--out", str(tmp_path)]) == 0, capsys.readouterr().err
-    assert counts == {"variance_squeezed": 2, "variance_saturated": 1, "charge_window": 1}
+def test_squeezed_average_integrates_each_variance_once(tmp_path, count_calls, capsys):
+    # sigma_tau^2 (m = 2: also sigma_2tau^2, the saturated variance, the
+    # window and the second step's Drude weight) serve the outcome law and
+    # the saddle of every distinct outcome row; m = 1 has no window
+    counts = count_calls(fluctuations.variance_squeezed, fluctuations.variance_saturated, saddle.charge_window,
+                         fluctuations.drude_weight)
+    expected = {1: {"variance_squeezed": 1},
+                2: {"variance_squeezed": 2, "variance_saturated": 1, "charge_window": 1, "drude_weight": 1}}
+    for m in (1, 2):
+        counts.clear()
+        argv = ["average", "--state", "tilted:1.1", "--ell", "40", "--tau", "3", "--t", "14", "--m", str(m),
+                "--samples", "200", "--seed", "1"]
+        assert main([*argv, "--out", str(tmp_path / str(m))]) == 0, capsys.readouterr().err
+        assert counts == expected[m]
 
 
-def test_curve_makes_one_counting_sweep_per_final_time(tmp_path, monkeypatch, capsys):
+def test_geometry_integrates_the_saddle_variance_once_per_job(tmp_path, count_calls, capsys):
+    counts = count_calls(fluctuations.variance_saturated)
+    argv = ["geometry", "--state", "tilted:1.1", "--ell", "40", "--t-grid", "5,25", "--q", "24",
+            "--geometry", "complement", "--L", "80"]
+    assert main([*argv, "--out", str(tmp_path), "--format", "json"]) == 0, capsys.readouterr().err
+    assert counts == {"variance_saturated": 1}
+    assert len(json.loads((tmp_path / "geometry.json").read_text())["rows"]) == 2
+
+
+def test_curve_makes_one_counting_sweep_per_final_time(tmp_path, count_calls, capsys):
     # every counting function of one (protocol, t) comes from one kernel call
-    counts = _count_calls(monkeypatch, counting._measures)
+    counts = count_calls(counting._measures)
     argv = ["curve", "--state", "dimer", "--ell", "40", "--tau", "6", "--t-grid", "21,24", "--q", "21,20,22"]
     assert main([*argv, "--out", str(tmp_path)]) == 0, capsys.readouterr().err
     assert counts == {"_measures": 2}

@@ -15,6 +15,7 @@ from chargequench import (
 from chargequench.counting import MeasurementProtocol
 from chargequench.entropy import averaged_correction, entropy_symmetric_single, log_n_correction
 from chargequench.errors import FeasibilityError
+from chargequench.fluctuations import drude_weight, variance_squeezed
 from chargequench.probability import (
     KIND_GAUSSIAN,
     OutcomeDistribution,
@@ -30,6 +31,18 @@ def test_gaussian_pdf_values(neel):
     sigma2 = 100.0 / math.pi
     assert outcome_pdf(dist, 1000.0) == pytest.approx(1 / math.sqrt(2 * math.pi * sigma2), rel=1e-9)
     assert outcome_pdf(dist, 1000.0 + 100.0) == 0.0  # beyond the light cone
+
+
+def test_squeezed_law_is_centred_on_the_mean_charge(tilted_max):
+    # a squeezed state's first outcome has mean ell <n> and the squeezed
+    # sigma_tau^2, with no window; the second step is ballistic, windowed
+    occ, tau, ell = tilted_max.occupation, 3.0, 40.0
+    single = chain_distribution(tau, 1, ell, occ)
+    assert (single.center, single.step_variances) == (ell * occ.mean_density, (variance_squeezed(tau, ell, occ),))
+    assert single.step_window(0) is None
+    double = chain_distribution(tau, 2, ell, occ)
+    assert double.step_variances == (variance_squeezed(tau, ell, occ), 2 * tau * drude_weight(occ))
+    assert double.step_window(0) is None and double.step_window(1) == charge_window(tau, ell)
 
 
 def test_neel_exact_pdf(neel):

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -21,10 +20,10 @@ from chargequench import (
 from chargequench import saddle
 from chargequench.counting import light_cone_weight
 from chargequench.errors import FeasibilityError, RegimeError
-from chargequench.fluctuations import drude_weight, variance_saturated, variance_steps
+from chargequench.fluctuations import drude_weight, variance_saturated
 from chargequench.probability import KIND_GAUSSIAN, OutcomeDistribution
 from chargequench.quadrature import momentum_integral
-from chargequench.saddle import charge_window
+from chargequench.saddle import PeriodTerms, charge_window
 from chargequench.states import OccupationFunction, Pairing as P
 
 
@@ -217,11 +216,11 @@ def test_suffix_sums(dimer):
     # the chain solves for the suffix sums Lambda_l = sum_{s >= l} lambda_s
     dq_seq = (3.0, -1.0, 2.0)
     sol = solve_saddle_symmetric_multi(dq_seq, 6.0, 40.0, dimer.occupation)
-    steps = variance_steps(6.0, 3, 40.0, dimer.occupation)
+    steps = PeriodTerms(6.0, 3, 40.0, dimer.occupation).steps
     assert sol.suffix == tuple(dq / step for dq, step in zip(dq_seq, steps))
     assert sol.lambdas == (sol.suffix[0] - sol.suffix[1], sol.suffix[1] - sol.suffix[2],
                            sol.suffix[2] - 0.0)
-    assert json.loads(sol.to_json())["mode"] == "linearized"
+    assert sol.mode == "linearized"
 
 
 def test_dimer_saddle_residual_at_the_window_edge(dimer):

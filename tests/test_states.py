@@ -114,5 +114,5 @@ def test_registry_and_custom_files(tmp_path):
 
 
 def test_quench_state_from_occupation_matches_registry():
-    st = QuenchState.from_occupation(dimer_state())
+    st = QuenchState(dimer_state())
     assert st.mean_subsystem_charge_density == 0.5
