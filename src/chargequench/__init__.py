@@ -55,7 +55,6 @@ from .probability import (
     outcome_pdf,
     sample_outcomes,
 )
-from .quadrature import QuadratureConfig
 from .saddle import (
     SaddleSolution,
     feasibility,

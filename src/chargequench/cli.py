@@ -36,8 +36,7 @@ from .probability import (
     neel_exact_distribution,
     sample_many,
 )
-from .quadrature import QuadratureConfig
-from .saddle import PeriodTerms, _feasible_window, solve_saddle_symmetric_single
+from .saddle import PeriodTerms, _window_flags, solve_saddle_symmetric_single
 from .states import Pairing, get_state
 
 EXIT_OK = 0
@@ -59,19 +58,15 @@ _FMT = "%.17g"
 class JobSpec:
     subcommand: str
     params: dict
-    rtol: float = 1e-10
     seed: int | None = None
     out_dir: str = "."
     fmt: str = "both"
 
     def config_hash(self) -> str:
         """Hash of the inputs that change the result: not where or how it is written."""
-        inputs = {"subcommand": self.subcommand, "params": self.params, "rtol": self.rtol, "seed": self.seed}
+        inputs = {"subcommand": self.subcommand, "params": self.params, "seed": self.seed}
         canon = json.dumps(inputs, sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-    def quad(self) -> QuadratureConfig:
-        return QuadratureConfig(rtol=self.rtol)
 
 
 def parse_grid(text: str):
@@ -126,15 +121,15 @@ def _write_artifact(job: JobSpec, name: str, header, rows, extra_meta=None):
 # ---------------------------------------------------------------------------
 
 
-def _reports(state, t_grid, tau, ell, q_rows, config):
+def _reports(state, t_grid, tau, ell, q_rows):
     """``(t, reports)`` for each final time t of the grid: the reports of the
     rows of outcomes, in one batch per t.  The terms that do not depend on t
     are integrated once for the grid."""
     m = len(q_rows[0])
-    period = PeriodTerms(tau, m, ell, state.occupation, config)
+    period = PeriodTerms(tau, m, ell, state.occupation)
     for t in t_grid:
         protocol = MeasurementProtocol(ell=ell, tau=tau, m=m, t=t)
-        yield t, ProtocolTerms(protocol, state.occupation, config, period).reports(q_rows)
+        yield t, ProtocolTerms(protocol, state.occupation, period).reports(q_rows)
 
 
 def _report_columns(report):
@@ -146,14 +141,13 @@ def _report_columns(report):
 
 def _cmd_curve(job: JobSpec):
     p = job.params
-    state = get_state(p["state"], job.quad())
+    state = get_state(p["state"])
     ell, tau = p["ell"], p["tau"]
     q_seq = [float(v) for v in str(p["q"]).split(",")]
     t_grid = parse_grid(p["t_grid"]) if "t_grid" in p else [p["t"]]
-    config = job.quad()
 
     rows = [(t, tau, *q_seq, *_report_columns(report))
-            for t, reports in _reports(state, t_grid, tau, ell, [q_seq], config) for report in reports]
+            for t, reports in _reports(state, t_grid, tau, ell, [q_seq]) for report in reports]
     header = ["t", "tau"] + [f"q{i + 1}" for i in range(len(q_seq))] + [
         "baseline", "quantum", "classical", "total", "flags",
     ]
@@ -162,13 +156,12 @@ def _cmd_curve(job: JobSpec):
 
 def _cmd_sweep(job: JobSpec):
     p = job.params
-    state = get_state(p["state"], job.quad())
+    state = get_state(p["state"])
     ell, tau = p["ell"], p["tau"]
     t_grid = parse_grid(p["t_grid"]) if "t_grid" in p else [p["t"]]
     q_grid = parse_grid(str(p["q_grid"]))
-    config = job.quad()
     rows = [(t, tau, q, *_report_columns(report))
-            for t, reports in _reports(state, t_grid, tau, ell, [(q,) for q in q_grid], config)
+            for t, reports in _reports(state, t_grid, tau, ell, [(q,) for q in q_grid])
             for q, report in zip(q_grid, reports)]
     header = ["t", "tau", "q", "baseline", "quantum", "classical", "total", "flags"]
     return _write_artifact(job, "sweep", header, rows, {"state": p["state"]})
@@ -176,23 +169,23 @@ def _cmd_sweep(job: JobSpec):
 
 def _cmd_saddle(job: JobSpec):
     p = job.params
-    state = get_state(p["state"], job.quad())
+    state = get_state(p["state"])
     ell, tau = p["ell"], p["tau"]
     dq_grid = parse_grid(str(p["dq"]))
-    config = job.quad()
     occ = state.occupation
     rows = []
-    period = PeriodTerms(tau, 1, ell, occ, config)  # one window and one variance for every dq
+    period = PeriodTerms(tau, 1, ell, occ)  # one window and one variance for every dq
     if occ.pairing is Pairing.SQUEEZED_PAIR:
         for dq in dq_grid:
             # dq from the mean charge; the saddle is linear, exact = linearized
             sol = period.saddle((ell * occ.mean_density + dq,))
             rows.append((dq, sol.lambdas[0], sol.lambdas[0], 1, sol.regime))
     else:
-        window, flags = _feasible_window(dq_grid, tau, ell, occ.pairing, config)
-        for dq, feasible in zip(dq_grid, flags):
+        if tau <= 0:
+            raise ValueError("saddle needs tau > 0")
+        for dq, feasible in zip(dq_grid, _window_flags(dq_grid, period.charge_window, occ.pairing)):
             if feasible:
-                exact = solve_saddle_symmetric_single(dq, tau, ell, occ, config=config, window=window)
+                exact = solve_saddle_symmetric_single(dq, tau, ell, occ, window=period.charge_window)
                 rows.append((dq, exact.lambdas[0], dq / period.variance(tau), 1, exact.regime))
             else:
                 rows.append((dq, math.nan, math.nan, 0, "infeasible"))
@@ -202,14 +195,13 @@ def _cmd_saddle(job: JobSpec):
 
 def _cmd_average(job: JobSpec):
     p = job.params
-    state = get_state(p["state"], job.quad())
+    state = get_state(p["state"])
     ell, tau, t, m = p["ell"], p["tau"], p["t"], p.get("m", 1)
-    config = job.quad()
     protocol = MeasurementProtocol(ell=ell, tau=tau, m=m, t=t)
     # the baseline, variance steps and classical term, integrated once for the job
-    terms = ProtocolTerms(protocol, state.occupation, config)
+    terms = ProtocolTerms(protocol, state.occupation)
     try:
-        analytic, breakdown = averaged_correction(protocol, state.occupation, config=config, terms=terms)
+        analytic, breakdown = averaged_correction(protocol, state.occupation, terms=terms)
         result = {"analytic_correction": analytic, "breakdown": breakdown}
     except RegimeError:
         if not p.get("samples"):
@@ -221,7 +213,7 @@ def _cmd_average(job: JobSpec):
             dist = neel_exact_distribution(tau, ell, m)
         mean, stderr = monte_carlo_average(
             protocol, state.occupation, int(p["samples"]), job.seed or 0,
-            distribution=dist, config=config, terms=terms,
+            distribution=dist, terms=terms,
         )
         result.update(
             {"mc_mean": mean, "mc_stderr": stderr, "mc_correction": mean - terms.baseline,
@@ -236,13 +228,12 @@ def _cmd_average(job: JobSpec):
 
 def _cmd_sample(job: JobSpec):
     p = job.params
-    state = get_state(p["state"], job.quad())
+    state = get_state(p["state"])
     ell, tau, m = p["ell"], p["tau"], p.get("m", 1)
-    config = job.quad()
     if p["state"] == "neel" and p.get("exact_distribution"):
         dist = neel_exact_distribution(tau, ell, m)
     else:
-        dist = chain_distribution(tau, m, ell, state.occupation, config=config)
+        dist = chain_distribution(tau, m, ell, state.occupation)
     seqs, rejections = sample_many(job.seed or 0, dist, int(p["samples"]))
     header = [f"q{i + 1}" for i in range(m)]
     rows = [tuple(int(v) for v in row) for row in seqs]
@@ -254,12 +245,10 @@ def _cmd_neel(job: JobSpec):
     tau = p["tau"]
     ell = p.get("ell", 100.0 * tau)
     t = p.get("t", p["tau"] * p.get("m", 1))
-    config = job.quad()
-    state = get_state("neel", config)
+    state = get_state("neel")
     dqs = parse_grid(str(p["dq"]))
-    exacts = [neel_entropy_exact(t, tau, [dq], ell, config=config) for dq in dqs]
-    saddle_reports = entropy_symmetric_single(t, tau, ell, ell / 2 + np.array(dqs), state.occupation,
-                                              config=config)
+    exacts = [neel_entropy_exact(t, tau, [dq], ell) for dq in dqs]
+    saddle_reports = entropy_symmetric_single(t, tau, ell, ell / 2 + np.array(dqs), state.occupation)
     rows = [(dq, sum(exact.corrections), report.total - report.baseline, sum(stirling_expansion(dq, tau)))
             for dq, exact, report in zip(dqs, exacts, saddle_reports)]
     header = ["dq", "exact", "saddle", "stirling"]
@@ -268,18 +257,18 @@ def _cmd_neel(job: JobSpec):
 
 def _cmd_fcs(job: JobSpec):
     p = job.params
-    state = get_state(p["state"], job.quad())
+    state = get_state(p["state"])
     ell, tau = p["ell"], p["tau"]
     # default: 41 points strictly inside the principal window [-pi, pi]
     betas = parse_grid(str(p.get("beta_grid", "-3.14:3.14:41")))
-    values = fcs_generating_function(np.array(betas), tau, ell, state.occupation, config=job.quad())
+    values = fcs_generating_function(np.array(betas), tau, ell, state.occupation)
     rows = [(beta, float(value.real), float(value.imag)) for beta, value in zip(betas, values)]
     return _write_artifact(job, "fcs", ["beta", "re", "im"], rows, {"state": p["state"]})
 
 
 def _cmd_geometry(job: JobSpec):
     p = job.params
-    state = get_state(p["state"], job.quad())
+    state = get_state(p["state"])
     ell, q = p["ell"], p["q"]
     geom = GeometrySpec(
         measured_region=p["geometry"],
@@ -287,9 +276,8 @@ def _cmd_geometry(job: JobSpec):
         ell_b=p.get("ell_b", 0.0),
         total_length=p.get("L", 0.0),
     )
-    config = job.quad()
     t_grid = parse_grid(p["t_grid"]) if "t_grid" in p else [p["t"]]
-    reports = geometry_entropy(geom, np.array(t_grid), ell, q, state.occupation, config=config)
+    reports = geometry_entropy(geom, np.array(t_grid), ell, q, state.occupation)
     rows = [(t, q, report.baseline, sum(v for _, v in report.quantum_corrections), report.total)
             for t, report in zip(t_grid, reports)]
     header = ["t", "q", "baseline", "quantum", "total"]
@@ -356,7 +344,6 @@ def _build_parser():
         sp.add_argument("--t", type=float)
         sp.add_argument("--t-grid", dest="t_grid")
         sp.add_argument("--m", type=int)
-        sp.add_argument("--rtol", type=float, default=1e-10)
         sp.add_argument("--seed", type=int)
         sp.add_argument("--out")
         sp.add_argument("--format", choices=("csv", "json", "both"), default="both")
@@ -400,7 +387,6 @@ def build_job(argv) -> JobSpec:
         at = argv.index(args["subcommand"]) + 1
         args = vars(parser.parse_args([*argv[:at], *_config_file_flags(args["config"]), *argv[at:]]))
     subcommand = args.pop("subcommand")
-    rtol = args.pop("rtol")
     seed = args.pop("seed")
     out = args.pop("out")
     out_dir = os.environ.get("CHARGEQUENCH_OUTDIR", ".") if out is None else out
@@ -408,7 +394,7 @@ def build_job(argv) -> JobSpec:
     args.pop("config")
     params = {k: v for k, v in args.items() if v is not None and v is not False}
     return JobSpec(
-        subcommand=subcommand, params=params, rtol=rtol, seed=seed,
+        subcommand=subcommand, params=params, seed=seed,
         out_dir=out_dir, fmt=fmt,
     )
 

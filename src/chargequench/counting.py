@@ -61,13 +61,12 @@ FINAL_BOTH_OUT = "AbarAbar"
 
 @dataclass(frozen=True)
 class MeasurementProtocol:
-    """Subsystem length, measurement period and count, final time, outcomes."""
+    """Subsystem length, measurement period and count, final time."""
 
     ell: float
     tau: float
     m: int
     t: float
-    outcomes: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.ell <= 0:
@@ -76,8 +75,6 @@ class MeasurementProtocol:
             raise ValueError("measurement count and period must be non-negative")
         if self.t < self.m * self.tau - 1e-12:
             raise ValueError("final time precedes the last measurement")
-        if self.outcomes is not None and len(self.outcomes) != self.m:
-            raise ValueError("outcome sequence length must equal m")
 
     @property
     def times(self) -> tuple[float, ...]:

@@ -34,7 +34,7 @@ from .counting import (
 )
 from .errors import RegimeError
 from .fluctuations import asymmetry, number_entropy
-from .quadrature import DEFAULT_CONFIG, momentum_integral
+from .quadrature import momentum_integral
 from .saddle import PeriodTerms, _linear_chain
 from .states import OccupationFunction, Pairing, pair_entropy
 
@@ -79,7 +79,7 @@ class EntropyReport:
 # ---------------------------------------------------------------------------
 
 
-def unmeasured_entropy(alpha, t, ell, occ: OccupationFunction, config=DEFAULT_CONFIG):
+def unmeasured_entropy(alpha, t, ell, occ: OccupationFunction):
     """Renyi entropy of the unmeasured quench,
     ``(1/2pi) int dk min(2|v_k| t, ell) s_alpha[n(k)]``."""
     if t < 0 or ell <= 0:
@@ -89,7 +89,7 @@ def unmeasured_entropy(alpha, t, ell, occ: OccupationFunction, config=DEFAULT_CO
     def integrand(k):
         return weight(k) * pair_entropy(occ.evaluate(k), alpha)
 
-    value, _ = momentum_integral(integrand, kinks=weight.kinks, config=config)
+    value, _ = momentum_integral(integrand, kinks=weight.kinks)
     return value
 
 
@@ -107,9 +107,9 @@ def _replica_width(n):
     return n * (1 - n) * (1 - 2 * n) * log_ratio
 
 
-def _chi_integral(chi, density, occ, config):
+def _chi_integral(chi, density, occ):
     """(1/2pi) int dk chi(k) density(n(k)), split at chi's kinks."""
-    value, _ = momentum_integral(lambda k: chi(k) * density(occ.evaluate(k)), kinks=chi.kinks, config=config)
+    value, _ = momentum_integral(lambda k: chi(k) * density(occ.evaluate(k)), kinks=chi.kinks)
     return value
 
 
@@ -117,19 +117,19 @@ def _hessian_general_symmetric(terms):
     # Diagonal-plus-rank-one Hessian of the multiplier integral, evaluated at
     # zeroth order in the saddle, with b(alpha) = int chi (n(1-n))^alpha /
     # (n^alpha + (1-n)^alpha)^2 and its alpha-derivative in closed form.
-    occ, config = terms.occ, terms.config
+    occ = terms.occ
     chi_shared = terms.chis[0][1]
     chi_out = counting_function([ConfigurationClass((1,), FINAL_BOTH_OUT, RIGHT_MOVER)], terms.protocol)
-    a1 = _chi_integral(chi_out, lambda n: n * (1 - n), occ, config)
-    b1 = _chi_integral(chi_shared, lambda n: n * (1 - n), occ, config)
+    a1 = _chi_integral(chi_out, lambda n: n * (1 - n), occ)
+    b1 = _chi_integral(chi_shared, lambda n: n * (1 - n), occ)
     if a1 <= 1e-14:
         return None
-    db = _chi_integral(chi_shared, _replica_width, occ, config)
+    db = _chi_integral(chi_shared, _replica_width, occ)
     return -0.5 * math.log(2 * math.pi) + 0.5 * (math.log(a1 / (a1 + b1)) + b1 / (a1 + b1) + db / (a1 + b1))
 
 
 def log_n_correction(
-    t, tau, ell, occ: OccupationFunction, m: int = 1, config=DEFAULT_CONFIG
+    t, tau, ell, occ: OccupationFunction, m: int = 1
 ):
     """Outcome-independent saddle prefactor, per regime.
 
@@ -142,7 +142,7 @@ def log_n_correction(
     long times.  Regimes with no known convention return (None, flag).
     This is `ProtocolTerms.classical` of the protocol.
     """
-    return ProtocolTerms(MeasurementProtocol(ell=ell, tau=tau, m=m, t=t), occ, config).classical
+    return ProtocolTerms(MeasurementProtocol(ell=ell, tau=tau, m=m, t=t), occ).classical
 
 
 def _log_n_symmetric(terms):
@@ -182,7 +182,7 @@ def _log_n_squeezed(t, period: PeriodTerms):
     tau, ell, m = period.tau, period.ell, period.m
     if m == 1 and abs(t - tau) < 1e-12:
         sigma2 = period.variance(tau)
-        delta_s = asymmetry(tau, ell, period.occ, config=period.config)
+        delta_s = asymmetry(tau, ell, period.occ)
         if not math.isfinite(delta_s) or sigma2 <= 0:
             return None, LOGN_UNKNOWN
         return delta_s - number_entropy(sigma2), "squeezed-at-measurement"
@@ -198,7 +198,7 @@ def _log_n_squeezed(t, period: PeriodTerms):
 # ---------------------------------------------------------------------------
 
 
-def _quantum_integral(chi, tilt, occ, config):
+def _quantum_integral(chi, tilt, occ):
     """(1/2pi) int dk chi(k) (s[n tilted by tilt] - s[n]), chi a
     `CountingFunction` whose kinks split the quadrature panels.
 
@@ -238,13 +238,13 @@ def _quantum_integral(chi, tilt, occ, config):
                 chi_k * (np.abs(log_term) + np.abs(tilt_term) + np.abs(bias)),
             )
 
-        values[live], errors[live] = momentum_integral(integrand, kinks=chi.kinks, config=config)
+        values[live], errors[live] = momentum_integral(integrand, kinks=chi.kinks)
     if tilts.ndim == 0:
         return float(values), float(errors)
     return values, errors
 
 
-def _measured_reports(baseline, classical, chis, rows, occ, config, **diagnostics):
+def _measured_reports(baseline, classical, chis, rows, occ, **diagnostics):
     """The reports of the outcome rows of one protocol: each is the
     ``baseline``, one quantum correction per ``(label, chi)`` of ``chis`` and
     the classical ``(value, tag)``.  A row is a ``(saddle solution, tilts)``
@@ -264,7 +264,7 @@ def _measured_reports(baseline, classical, chis, rows, occ, config, **diagnostic
     for chi in {id(chi): chi for _, chi in chis}.values():
         cols = [j for j, (_, other) in enumerate(chis) if other is chi]
         distinct = sorted({tilts[j] for _, tilts in rows for j in cols})
-        values, errors = _quantum_integral(chi, np.array(distinct, dtype=float), occ, config)
+        values, errors = _quantum_integral(chi, np.array(distinct, dtype=float), occ)
         for j in cols:
             terms[j] = {tilt: (chis[j][0], value) for tilt, value in zip(distinct, values.tolist())}
             term_errors[j] = dict(zip(distinct, errors.tolist()))
@@ -300,15 +300,15 @@ class ProtocolTerms:
     of a job, its analytic average and its Monte-Carlo run share them;
     `reports` builds the reports of any number of outcome rows in one batch."""
 
-    def __init__(self, protocol: MeasurementProtocol, occ: OccupationFunction, config=DEFAULT_CONFIG,
+    def __init__(self, protocol: MeasurementProtocol, occ: OccupationFunction,
                  period: PeriodTerms | None = None):
-        self.protocol, self.occ, self.config = protocol, occ, config
-        self.period = PeriodTerms(protocol.tau, protocol.m, protocol.ell, occ, config) if period is None else period
+        self.protocol, self.occ = protocol, occ
+        self.period = PeriodTerms(protocol.tau, protocol.m, protocol.ell, occ) if period is None else period
 
     @functools.cached_property
     def baseline(self) -> float:
         p = self.protocol
-        return unmeasured_entropy(1.0, p.t, p.ell, self.occ, config=self.config)
+        return unmeasured_entropy(1.0, p.t, p.ell, self.occ)
 
     @functools.cached_property
     def chis(self) -> list[tuple[str, CountingFunction]]:
@@ -360,7 +360,7 @@ class ProtocolTerms:
             rows = [(sol, sol.lambdas) for sol in map(self.period.saddle, q_rows)]
         else:
             rows = self._chain_rows(q_rows)
-        return _measured_reports(self.baseline, self.classical, self.chis, rows, occ, self.config)
+        return _measured_reports(self.baseline, self.classical, self.chis, rows, occ)
 
     def _chain_rows(self, q_rows):
         p, period = self.protocol, self.period
@@ -371,15 +371,15 @@ class ProtocolTerms:
         return [(sol, sol.suffix) for sol in _linear_chain(dq_rows, period.charge_window, steps, p.tau, p.ell)]
 
 
-def _terms(protocol, occ, config, pairing):
+def _terms(protocol, occ, pairing):
     """The `ProtocolTerms` of a report function defined for one pairing."""
     if occ.pairing is not pairing:
         raise ValueError(f"these reports are defined for {pairing.value} states")
-    return ProtocolTerms(protocol, occ, config)
+    return ProtocolTerms(protocol, occ)
 
 
 def entropy_symmetric_single(
-    t, tau, ell, q, occ: OccupationFunction, config=DEFAULT_CONFIG
+    t, tau, ell, q, occ: OccupationFunction
 ) -> EntropyReport:
     """Entropy after one charge measurement on a symmetric state.
 
@@ -387,15 +387,14 @@ def entropy_symmetric_single(
     log-prefactor.  ``q`` is an outcome, giving its report, or an array of
     outcomes, giving the list of their reports (one batch).
     """
-    terms = _terms(MeasurementProtocol(ell=ell, tau=tau, m=1, t=t), occ, config,
-                   Pairing.SYMMETRIC_PARTICLE_HOLE)
+    terms = _terms(MeasurementProtocol(ell=ell, tau=tau, m=1, t=t), occ, Pairing.SYMMETRIC_PARTICLE_HOLE)
     qs = np.asarray(q, dtype=float)
     reports = list(terms.reports([(v,) for v in qs.ravel().tolist()]))
     return reports[0] if qs.ndim == 0 else reports
 
 
 def entropy_symmetric_multi(
-    t, tau, ell, q_seq, occ: OccupationFunction, config=DEFAULT_CONFIG
+    t, tau, ell, q_seq, occ: OccupationFunction
 ) -> EntropyReport:
     """Entropy after m periodic measurements on a symmetric state.
 
@@ -404,14 +403,14 @@ def entropy_symmetric_multi(
     and still shared at t, tilted by the suffix sum of the multipliers of the
     linear chain (also for m = 1).
     """
-    protocol = MeasurementProtocol(ell=ell, tau=tau, m=len(q_seq), t=t, outcomes=tuple(q_seq))
-    terms = _terms(protocol, occ, config, Pairing.SYMMETRIC_PARTICLE_HOLE)
+    protocol = MeasurementProtocol(ell=ell, tau=tau, m=len(q_seq), t=t)
+    terms = _terms(protocol, occ, Pairing.SYMMETRIC_PARTICLE_HOLE)
     rows = terms._chain_rows([q_seq])
-    return next(_measured_reports(terms.baseline, terms.classical, terms.chis, rows, occ, config))
+    return next(_measured_reports(terms.baseline, terms.classical, terms.chis, rows, occ))
 
 
 def entropy_squeezed_single(
-    t, tau, ell, q, occ: OccupationFunction, config=DEFAULT_CONFIG
+    t, tau, ell, q, occ: OccupationFunction
 ) -> EntropyReport:
     """Entropy after one charge measurement on a squeezed-pair state.
 
@@ -419,19 +418,19 @@ def entropy_squeezed_single(
     the measurement carry charge 0 or 2 and contribute with tilt 2*lambda.
     """
     protocol = MeasurementProtocol(ell=ell, tau=tau, m=1, t=t)
-    return next(_terms(protocol, occ, config, Pairing.SQUEEZED_PAIR).reports([(q,)]))
+    return next(_terms(protocol, occ, Pairing.SQUEEZED_PAIR).reports([(q,)]))
 
 
 def entropy_squeezed_double(
-    t, tau, ell, q1, q2, occ: OccupationFunction, config=DEFAULT_CONFIG
+    t, tau, ell, q1, q2, occ: OccupationFunction
 ) -> EntropyReport:
     """Entropy after two measurements on a squeezed-pair state.
 
     The four shared classes (by members inside A at each measurement) carry
     tilts 2l1+2l2, 2l1+l2, l1+l2 and l2 respectively.
     """
-    protocol = MeasurementProtocol(ell=ell, tau=tau, m=2, t=t, outcomes=(q1, q2))
-    return next(_terms(protocol, occ, config, Pairing.SQUEEZED_PAIR).reports([(q1, q2)]))
+    protocol = MeasurementProtocol(ell=ell, tau=tau, m=2, t=t)
+    return next(_terms(protocol, occ, Pairing.SQUEEZED_PAIR).reports([(q1, q2)]))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +439,7 @@ def entropy_squeezed_double(
 
 
 def averaged_correction(
-    protocol: MeasurementProtocol, occ: OccupationFunction, config=DEFAULT_CONFIG, terms=None
+    protocol: MeasurementProtocol, occ: OccupationFunction, terms=None
 ):
     """Analytic outcome average of (entropy - baseline) for symmetric states.
 
@@ -455,7 +454,7 @@ def averaged_correction(
         raise RegimeError("analytic outcome averages are available for symmetric states")
     t, tau, ell, m = protocol.t, protocol.tau, protocol.ell, protocol.m
     if terms is None:
-        terms = ProtocolTerms(protocol, occ, config)
+        terms = ProtocolTerms(protocol, occ)
     classical, tag = terms.known_classical()
     period = terms.period
     sigma_tau = period.steps[0]
@@ -466,7 +465,7 @@ def averaged_correction(
             raise RegimeError("multi-measurement averages are implemented for t <= ell/2")
         variance_term = -0.5 * m
     # inside the light cone every step's pairs weigh like the first period's
-    config_term = -m * _chi_integral(terms.chis[0][1], _replica_width, occ, config) / (2 * sigma_tau)
+    config_term = -m * _chi_integral(terms.chis[0][1], _replica_width, occ) / (2 * sigma_tau)
     value = classical + variance_term + config_term
     breakdown = {
         "classical": classical,

@@ -3,7 +3,7 @@
 The FCS generating functions are the single-measurement multiplier
 integrals at coincident measurement and observation times; the geometry
 variants (measure the complement of A, or a disjoint interval B) reuse the
-counting classifier with a different measured region.
+counting kernel with a different measured region.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .counting import FINAL_SHARED, ConfigurationClass, MeasurementProtocol, cou
 from .entropy import EntropyReport, _measured_reports, unmeasured_entropy
 from .errors import RegimeError
 from .fluctuations import variance_saturated
-from .quadrature import DEFAULT_CONFIG, momentum_integral
+from .quadrature import momentum_integral
 from .saddle import SaddleSolution
 from .states import OccupationFunction, Pairing
 
@@ -95,7 +95,7 @@ def _log_single(beta, n):
     return _log_modulus(beta, n), np.arctan2(n * np.sin(b), (1.0 - n) + n * np.cos(b))
 
 
-def fcs_generating_function(beta, tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG):
+def fcs_generating_function(beta, tau, ell, occ: OccupationFunction):
     """Cumulant generating function of the subsystem charge at time tau.
 
     Valid for tau < ell/2 (light cone).  Symmetric pairing:
@@ -145,7 +145,7 @@ def fcs_generating_function(beta, tau, ell, occ: OccupationFunction, config=DEFA
         # |sin k| kinks at k = 0; at |beta| = pi the pair terms have log
         # singularities where n = 1/2
         kinks = (0.0, *occ.half_filling_momenta)
-        parts, _ = momentum_integral(integrand, kinks=kinks, config=config)
+        parts, _ = momentum_integral(integrand, kinks=kinks)
         re, im = parts[:len(b)], parts[len(b):]
         if symmetric:
             values[live] = 1j * b * ell / 2.0 + 2.0 * tau * (re + 1j * im)
@@ -160,7 +160,7 @@ def fcs_generating_function(beta, tau, ell, occ: OccupationFunction, config=DEFA
 
 
 def geometry_entropy(
-    geom: GeometrySpec, t, ell, q, occ: OccupationFunction, config=DEFAULT_CONFIG
+    geom: GeometrySpec, t, ell, q, occ: OccupationFunction
 ) -> EntropyReport:
     """Entropy of A = [0, ell] after one t=0 charge measurement elsewhere.
 
@@ -182,7 +182,7 @@ def geometry_entropy(
     if ell < _HYDRO_MINIMUM:
         small.append("ell")
     qbar_density = occ.mean_density
-    nn_bar = variance_saturated(1.0, occ, config=config)  # (1/2pi) int n(1-n)
+    nn_bar = variance_saturated(1.0, occ)  # (1/2pi) int n(1-n)
 
     complement = geom.measured_region == MEASURE_COMPLEMENT
     if complement:
@@ -213,14 +213,14 @@ def geometry_entropy(
         reach = t + ell + 1.0
         region = ([(-reach, 0.0), (ell, ell + reach)] if complement
                   else [(ell + geom.distance, ell + geom.distance + geom.ell_b)])
-        protocol = MeasurementProtocol(ell=ell, tau=0.0, m=1, t=t, outcomes=(q,))
+        protocol = MeasurementProtocol(ell=ell, tau=0.0, m=1, t=t)
         # Unpinned class at half weight: asymmetric measured regions feed A from
         # one side only, so the two member pins are not equivalent here.
         chi = counting_function([ConfigurationClass((2,), FINAL_SHARED, None)], protocol, region,
                                 weight=0.5)
         reports += _measured_reports(
-            unmeasured_entropy(1.0, t, ell, occ, config=config), (None, "geometry-logN-unknown"),
-            [("chi~[2]_AAbar", chi)], [(sol, (2 * sol.lambdas[0],))], occ, config,
+            unmeasured_entropy(1.0, t, ell, occ), (None, "geometry-logN-unknown"),
+            [("chi~[2]_AAbar", chi)], [(sol, (2 * sol.lambdas[0],))], occ,
             saddle_center=center, saddle_variance=sigma2, **diagnostics,
         )
     return reports[0] if ts.ndim == 0 else reports

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from .counting import light_cone_weight
-from .quadrature import DEFAULT_CONFIG, momentum_integral
+from .quadrature import momentum_integral
 from .states import OccupationFunction, Pairing
 
 #: Returned by `asymmetry` when the state carries no charge fluctuations.
@@ -21,7 +21,7 @@ def _nn(occ, k):
     return n * (1.0 - n)
 
 
-def variance_symmetric(tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG):
+def variance_symmetric(tau, ell, occ: OccupationFunction):
     """Subsystem charge variance of a charge-eigenstate quench at time tau.
 
     sigma_tau^2 = (1/2pi) int dk min(2|v_k| tau, ell) n(k)[1 - n(k)].
@@ -31,11 +31,11 @@ def variance_symmetric(tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG)
     if tau < 0 or ell <= 0:
         raise ValueError("need tau >= 0 and ell > 0")
     weight = light_cone_weight(tau, ell)
-    value, _ = momentum_integral(lambda k: weight(k) * _nn(occ, k), kinks=weight.kinks, config=config)
+    value, _ = momentum_integral(lambda k: weight(k) * _nn(occ, k), kinks=weight.kinks)
     return value
 
 
-def variance_squeezed(tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG):
+def variance_squeezed(tau, ell, occ: OccupationFunction):
     """Subsystem charge variance of a squeezed-pair quench at time tau.
 
     sigma_tau^2 = (1/2pi) int dk [2 ell - min(2|v_k| tau, ell)] n(1-n):
@@ -46,20 +46,20 @@ def variance_squeezed(tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG):
         raise ValueError("need tau >= 0 and ell > 0")
     weight = light_cone_weight(tau, ell)
     value, _ = momentum_integral(
-        lambda k: (2 * ell - weight(k)) * _nn(occ, k), kinks=weight.kinks, config=config
+        lambda k: (2 * ell - weight(k)) * _nn(occ, k), kinks=weight.kinks
     )
     return value
 
 
-def variance_saturated(ell, occ: OccupationFunction, config=DEFAULT_CONFIG):
+def variance_saturated(ell, occ: OccupationFunction):
     """Long-time variance ``ell * (1/2pi) int dk n(1-n)`` (either pairing)."""
-    value, _ = momentum_integral(lambda k: ell * _nn(occ, k), config=config)
+    value, _ = momentum_integral(lambda k: ell * _nn(occ, k))
     return value
 
 
-def drude_weight(occ: OccupationFunction, config=DEFAULT_CONFIG):
+def drude_weight(occ: OccupationFunction):
     """Drude self weight D = (1/2pi) int dk |v_k| n(1-n)."""
-    value, _ = momentum_integral(lambda k: np.abs(np.sin(k)) * _nn(occ, k), config=config)
+    value, _ = momentum_integral(lambda k: np.abs(np.sin(k)) * _nn(occ, k))
     return value
 
 
@@ -70,7 +70,7 @@ def number_entropy(variance: float) -> float:
     return 0.5 * math.log(2.0 * math.pi * math.e * variance)
 
 
-def asymmetry(tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG):
+def asymmetry(tau, ell, occ: OccupationFunction):
     """Short-time entanglement asymmetry of a squeezed-pair state.
 
     Delta S_A(tau) = (1/2) log(2 pi e X_tau) with
@@ -82,7 +82,7 @@ def asymmetry(tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG):
         raise ValueError("entanglement asymmetry is defined for squeezed-pair states")
     weight = light_cone_weight(tau, ell)
     chi_tau, _ = momentum_integral(
-        lambda k: 2.0 * (ell - weight(k)) * _nn(occ, k), kinks=weight.kinks, config=config
+        lambda k: 2.0 * (ell - weight(k)) * _nn(occ, k), kinks=weight.kinks
     )
     if chi_tau <= 1e-300:
         return ASYMMETRY_REGIME_EXCEEDED

@@ -22,7 +22,6 @@ import numpy as np
 
 from .entropy import unmeasured_entropy
 from .errors import RegimeError
-from .quadrature import DEFAULT_CONFIG
 from .states import neel_state
 
 _LONG_TIME_RATIO = 10.0
@@ -30,7 +29,6 @@ _LONG_TIME_RATIO = 10.0
 
 @dataclass(frozen=True)
 class NeelExactResult:
-    alpha: float
     entropy: float
     baseline: float
     corrections: tuple[float, ...]
@@ -65,38 +63,32 @@ def _log_measurement_factor(dq: float, tau: float) -> float:
     )
 
 
-def neel_entropy_exact(
-    t, tau, dq_seq, ell, alpha: float = 1.0, config=DEFAULT_CONFIG
-) -> NeelExactResult:
+def neel_entropy_exact(t, tau, dq_seq, ell) -> NeelExactResult:
     """Exact measured entropy of the half-filled state.
 
     Valid inside the light cone (t <= ell/2, with every measurement before
     t) where the correction is a product of per-measurement Beta factors; in
     the deep long-time limit (t >= 10 ell) the measurement is washed out and
     the unperturbed value is returned.  Intermediate times have no closed
-    form and raise a RegimeError naming the valid windows.  The result is
-    independent of alpha; non-integer 4 tau/pi is accepted (the Beta form is
-    analytic in tau) and tagged "continuum-tau".
+    form and raise a RegimeError naming the valid windows.  The result holds
+    for every Renyi index, since s_alpha(1/2) = log 2; non-integer 4 tau/pi
+    is accepted (the Beta form is analytic in tau) and tagged "continuum-tau".
     """
     dq_seq = tuple(float(dq) for dq in dq_seq)
     m = len(dq_seq)
     if t < m * tau:
         raise RegimeError("final time precedes the last measurement")
-    baseline = unmeasured_entropy(1.0, t, ell, neel_state(), config=config)
+    baseline = unmeasured_entropy(1.0, t, ell, neel_state())
     regime = "continuum-tau" if (4 * tau / math.pi) % 1.0 > 1e-12 else "integer-tau"
     if t >= _LONG_TIME_RATIO * ell:
-        return NeelExactResult(
-            alpha, baseline, baseline, (0.0,) * m, "BetaClosedForm", regime + ";long-time-limit"
-        )
+        return NeelExactResult(baseline, baseline, (0.0,) * m, "BetaClosedForm", regime + ";long-time-limit")
     if t > ell / 2.0 + 1e-12:
         raise RegimeError(
             "closed form valid for t <= ell/2 (light cone) or t >= "
             f"{_LONG_TIME_RATIO:g} * ell (washed out); got t/ell = {t / ell:g}"
         )
     corrections = tuple(-_log_measurement_factor(dq, tau) for dq in dq_seq)
-    return NeelExactResult(
-        alpha, baseline + sum(corrections), baseline, corrections, "BetaClosedForm", regime
-    )
+    return NeelExactResult(baseline + sum(corrections), baseline, corrections, "BetaClosedForm", regime)
 
 
 def stirling_expansion(dq: float, tau: float):

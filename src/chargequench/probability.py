@@ -4,9 +4,7 @@ half-filled distribution, deterministic sampling and Monte-Carlo averages.
 Charges are physically integers; sampling therefore rounds Gaussian draws
 and rejects outcomes outside the ballistic feasibility window, preserving
 the relative weights inside it.  All sampling is deterministic given the
-seed.  Parallel users should derive per-chunk streams with
-``numpy.random.SeedSequence(seed).spawn(...)`` keyed by a fixed chunk index,
-never by worker count, so results are reproducible regardless of the pool.
+seed: one generator per call, seeded by ``numpy.random.SeedSequence(seed)``.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from .entropy import ProtocolTerms
 from .errors import FeasibilityError, RegimeError
 from .fluctuations import drude_weight
 from .neel_exact import neel_charged_moment, neel_exact_pdf_logweight
-from .quadrature import DEFAULT_CONFIG, integrate
+from .quadrature import integrate
 from .saddle import PeriodTerms
 from .states import OccupationFunction, Pairing
 
@@ -57,11 +55,11 @@ class OutcomeDistribution:
         return self.window
 
 
-def chain_distribution(tau, m, ell, occ, config=DEFAULT_CONFIG):
+def chain_distribution(tau, m, ell, occ):
     """Gaussian law of m outcomes every tau (see `_outcome_law`): on a
     symmetric state steps of the `PeriodTerms.steps` from ell/2, each inside
     the `charge_window`."""
-    return _outcome_law(PeriodTerms(tau, m, ell, occ, config))
+    return _outcome_law(PeriodTerms(tau, m, ell, occ))
 
 
 def neel_exact_distribution(tau, ell, m: int = 1):
@@ -180,7 +178,6 @@ def monte_carlo_average(
     samples: int,
     seed: int,
     distribution: OutcomeDistribution | None = None,
-    config=DEFAULT_CONFIG,
     terms: ProtocolTerms | None = None,
 ):
     """Outcome-averaged total entropy: ``(mean, stderr)``.
@@ -198,7 +195,7 @@ def monte_carlo_average(
     if samples < 100:
         raise ValueError("need at least 100 samples")
     if terms is None:
-        terms = ProtocolTerms(protocol, occ, config)
+        terms = ProtocolTerms(protocol, occ)
     if occ.pairing is Pairing.SYMMETRIC_PARTICLE_HOLE:
         terms.known_classical()
     rows, counts = _distinct_draws(seed, distribution or _outcome_law(terms.period), samples)
@@ -218,7 +215,7 @@ def _outcome_law(period: PeriodTerms) -> OutcomeDistribution:
     if m == 2:
         # after the first projection the subsystem charge is pinned, so the
         # second increment carries the ballistic (symmetric-like) variance
-        steps, window = (*steps, 2.0 * tau * drude_weight(occ, config=period.config)), period.charge_window
+        steps, window = (*steps, 2.0 * tau * drude_weight(occ)), period.charge_window
     return OutcomeDistribution(KIND_GAUSSIAN, ell * occ.mean_density, steps, tau, ell, window,
                                first_step_unrestricted=True)
 

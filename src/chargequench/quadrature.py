@@ -9,7 +9,8 @@ difference is the panel's error.  While the summed error exceeds the budget,
 the panels with the largest errors are halved (as in QUADPACK ``qags``), so
 that a log singularity, an unmarked jump or a narrow feature is refined where
 it sits instead of being asked to converge on its own share of the tolerance.
-The total number of panels is bounded.
+The total number of panels is bounded.  Every integral of the library is
+held to the one relative tolerance `RTOL`.
 
 An integrand may also return an (M, N) array for N nodes: a batch of M
 integrals (say, an FCS grid of counting fields, or the quantum corrections
@@ -21,7 +22,6 @@ halves the union of the panels its failing components would halve alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -31,20 +31,7 @@ from .errors import QuadratureError
 NODES = 24  # Gauss-Legendre nodes per rule
 MAX_PANELS = 2000  # panels of one integral before QuadratureError
 _NOISE = 30.0 * np.finfo(float).eps  # rounding noise per unit term size and width
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Target relative tolerance of every momentum integral."""
-
-    rtol: float = 1e-10
-
-    def __post_init__(self):
-        if self.rtol <= 0:
-            raise ValueError("relative tolerance must be positive")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+RTOL = 1e-10  # relative tolerance of every momentum integral
 
 
 @cache
@@ -73,7 +60,7 @@ def _rules(f, lo, hi):
     return rules, peaks, values.ndim == 2
 
 
-def integrate(f, a, b, kinks=(), config=DEFAULT_CONFIG):
+def integrate(f, a, b, kinks=(), rtol=RTOL):
     """Integrate vectorised ``f``, or a batch of M integrands, over [a, b].
 
     ``f`` maps N nodes to values of shape (N,), or (M, N) for a batch that
@@ -118,7 +105,7 @@ def integrate(f, a, b, kinks=(), config=DEFAULT_CONFIG):
                 f"panel [{lo[i]}, {hi[i]}] gives a non-finite value{_component(c, batched)}",
                 achieved=err[c])
         sizes = np.add.reduce(np.abs(fine), 1).tolist()
-        budget = [max(config.rtol * size, _NOISE * p * (b - a)) for size, p in zip(sizes, peak)]
+        budget = [max(rtol * size, _NOISE * p * (b - a)) for size, p in zip(sizes, peak)]
         fail = [c for c in range(m) if not err[c] <= budget[c]]
         if not fail:
             break
@@ -179,7 +166,7 @@ def velocity_kinks(critical_velocities):
     return sorted(ks)
 
 
-def momentum_integral(g, kinks=(), config=DEFAULT_CONFIG):
+def momentum_integral(g, kinks=(), rtol=RTOL):
     """(value, err) of ``(1/2pi) int_{-pi}^{pi} g(k) dk`` with kink splitting."""
-    value, err = integrate(g, -math.pi, math.pi, kinks=kinks, config=config)
+    value, err = integrate(g, -math.pi, math.pi, kinks=kinks, rtol=rtol)
     return value / (2.0 * math.pi), err / (2.0 * math.pi)

@@ -19,7 +19,7 @@ import numpy as np
 from .counting import light_cone_weight
 from .errors import FeasibilityError, RegimeError
 from .fluctuations import variance_saturated, variance_squeezed, variance_symmetric
-from .quadrature import DEFAULT_CONFIG, momentum_integral
+from .quadrature import momentum_integral
 from .states import OccupationFunction, Pairing
 
 _NEWTON_STEPS = 100  # safeguarded Newton iterations of one single-measurement solve
@@ -51,7 +51,7 @@ class SaddleSolution:
 # ---------------------------------------------------------------------------
 
 
-def charge_window(tau: float, ell: float, config=DEFAULT_CONFIG) -> float:
+def charge_window(tau: float, ell: float) -> float:
     """Half-width of the feasible outcomes one period can reach: a charge
     step dq is feasible iff |dq| < (1/2) (1/2pi) int dk min(2|v_k| tau, ell).
 
@@ -60,26 +60,20 @@ def charge_window(tau: float, ell: float, config=DEFAULT_CONFIG) -> float:
     solvers and the Gaussian samplers all test the open bound against it.
     """
     weight = light_cone_weight(tau, ell)
-    value, _ = momentum_integral(lambda k: 0.5 * weight(k), kinks=weight.kinks, config=config)
+    value, _ = momentum_integral(lambda k: 0.5 * weight(k), kinks=weight.kinks)
     return value
 
 
-def feasibility(dq_seq, tau: float, ell: float, pairing: Pairing, config=DEFAULT_CONFIG):
+def feasibility(dq_seq, tau: float, ell: float, pairing: Pairing):
     """Per-step flags for a sequence of charge differences.
 
     Symmetric states: every |dq_i| must lie inside the `charge_window` of one
     period.  Squeezed states: the first step always succeeds; the rest obey
     the same bound (the first projection pins the subsystem charge).
     """
-    return _feasible_window(dq_seq, tau, ell, pairing, config)[1]
-
-
-def _feasible_window(dq_seq, tau, ell, pairing, config):
-    """The `charge_window` and the flags of `feasibility`."""
     if tau <= 0:
         raise ValueError("feasibility needs tau > 0")
-    window = charge_window(tau, ell, config=config)
-    return window, _window_flags(dq_seq, window, pairing)
+    return _window_flags(dq_seq, charge_window(tau, ell), pairing)
 
 
 def _window_flags(dq_seq, window, pairing):
@@ -126,7 +120,7 @@ def modified_occupation(n, lam: float, weight: int = 1):
 
 
 def solve_saddle_symmetric_single(
-    dq, tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG, window=None
+    dq, tau, ell, occ: OccupationFunction, window=None
 ) -> SaddleSolution:
     """Single-measurement multiplier for a symmetric state.
 
@@ -143,7 +137,7 @@ def solve_saddle_symmetric_single(
     if occ.pairing is not Pairing.SYMMETRIC_PARTICLE_HOLE:
         raise ValueError("use solve_saddle_squeezed for squeezed-pair states")
     if window is None:
-        window = charge_window(tau, ell, config=config)
+        window = charge_window(tau, ell)
     _check_window([dq], window, tau, ell, occ.pairing)
     regime = "symmetric-single"
     if abs(dq) > 0.99 * window:
@@ -153,7 +147,7 @@ def solve_saddle_symmetric_single(
     weight = light_cone_weight(tau, ell)
 
     def integral(integrand):
-        return momentum_integral(integrand, kinks=weight.kinks, config=config)[0]
+        return momentum_integral(integrand, kinks=weight.kinks)[0]
 
     def residual(lam):
         return integral(lambda k: weight(k) * (modified_occupation(occ.evaluate(k), lam) - 0.5)) - dq
@@ -199,7 +193,7 @@ def solve_saddle_symmetric_single(
 
 
 def solve_saddle_symmetric_multi(
-    dq_seq, tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG
+    dq_seq, tau, ell, occ: OccupationFunction
 ) -> SaddleSolution:
     """Multiplier chain for m periodic measurements on a symmetric state.
 
@@ -209,7 +203,7 @@ def solve_saddle_symmetric_multi(
     """
     if occ.pairing is not Pairing.SYMMETRIC_PARTICLE_HOLE:
         raise ValueError("use solve_saddle_squeezed for squeezed-pair states")
-    period = PeriodTerms(tau, len(dq_seq), ell, occ, config)
+    period = PeriodTerms(tau, len(dq_seq), ell, occ)
     return _linear_chain([dq_seq], period.charge_window, period.steps, tau, ell)[0]
 
 
@@ -226,7 +220,7 @@ def _linear_chain(dq_rows, window, steps, tau, ell) -> list[SaddleSolution]:
 
 
 def solve_saddle_squeezed(
-    q_seq, tau, ell, occ: OccupationFunction, config=DEFAULT_CONFIG
+    q_seq, tau, ell, occ: OccupationFunction
 ) -> SaddleSolution:
     """Multipliers for one or two measurements on a squeezed-pair state.
 
@@ -241,7 +235,7 @@ def solve_saddle_squeezed(
     """
     if occ.pairing is not Pairing.SQUEEZED_PAIR:
         raise ValueError("use the symmetric solvers for particle-hole states")
-    return PeriodTerms(tau, len(q_seq), ell, occ, config)._squeezed(q_seq)
+    return PeriodTerms(tau, len(q_seq), ell, occ)._squeezed(q_seq)
 
 
 class PeriodTerms:
@@ -251,8 +245,8 @@ class PeriodTerms:
     the variance sigma_T^2 of any time T (`variance`) and its `steps` per
     period, the saturated variance sigma_inf^2 and each outcome row's saddle."""
 
-    def __init__(self, tau, m, ell, occ: OccupationFunction, config=DEFAULT_CONFIG):
-        self.tau, self.m, self.ell, self.occ, self.config = tau, m, ell, occ, config
+    def __init__(self, tau, m, ell, occ: OccupationFunction):
+        self.tau, self.m, self.ell, self.occ = tau, m, ell, occ
         self._saddles, self._variances = {}, {}
 
     def variance(self, time) -> float:
@@ -261,12 +255,12 @@ class PeriodTerms:
         distinct time."""
         if time not in self._variances:
             variance = variance_squeezed if self.occ.pairing is Pairing.SQUEEZED_PAIR else variance_symmetric
-            self._variances[time] = variance(time, self.ell, self.occ, config=self.config)
+            self._variances[time] = variance(time, self.ell, self.occ)
         return self._variances[time]
 
     @functools.cached_property
     def charge_window(self) -> float:
-        return charge_window(self.tau, self.ell, config=self.config)
+        return charge_window(self.tau, self.ell)
 
     @functools.cached_property
     def steps(self) -> tuple[float, ...]:
@@ -287,7 +281,7 @@ class PeriodTerms:
 
     @functools.cached_property
     def saturated_variance(self) -> float:
-        return variance_saturated(self.ell, self.occ, config=self.config)
+        return variance_saturated(self.ell, self.occ)
 
     def saddle(self, q_seq) -> SaddleSolution:
         """The saddle of a row of outcomes, solved once per distinct row: the
@@ -298,7 +292,7 @@ class PeriodTerms:
                 self._saddles[key] = self._squeezed(key)
             else:
                 self._saddles[key] = solve_saddle_symmetric_single(
-                    key[0] - self.ell / 2.0, self.tau, self.ell, self.occ, config=self.config, window=self.charge_window)
+                    key[0] - self.ell / 2.0, self.tau, self.ell, self.occ, window=self.charge_window)
         return self._saddles[key]
 
     def _squeezed(self, q_seq) -> SaddleSolution:

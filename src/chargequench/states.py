@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, momentum_integral
+from .quadrature import momentum_integral
 
 
 class Pairing(enum.Enum):
@@ -55,7 +55,10 @@ class OccupationFunction:
 
     def __post_init__(self):
         if self.mean_density is None:
-            density = _mean_density(self.evaluate, self.pairing, DEFAULT_CONFIG)
+            if self.pairing is Pairing.SYMMETRIC_PARTICLE_HOLE:
+                density = 0.5  # sharp: the state is a charge eigenstate at half filling
+            else:
+                density, _ = momentum_integral(self.evaluate)
             object.__setattr__(self, "mean_density", density)
 
     def __call__(self, k):
@@ -92,10 +95,11 @@ def occupation_dimer(k, plus_cos: bool = False):
     The two sign conventions appear in the literature; entropies and
     variances are blind to the choice (they depend on ``n(1-n)`` and
     ``s[n]``), while outcome-dependent corrections flip ``lambda -> -lambda``.
-    ``plus_cos=True`` selects ``(1 + cos k)/2``.
+    ``plus_cos=True`` selects ``(1 + cos k)/2``.  Written as ``sin^2(k/2)``
+    (``cos^2(k/2)``), which keeps full relative precision where n -> 0: the
+    difference form cancels there, at about 1e-4 relative at k = 1e-6.
     """
-    sign = 1.0 if plus_cos else -1.0
-    return 0.5 * (1.0 + sign * np.cos(k))
+    return np.cos(0.5 * k) ** 2 if plus_cos else np.sin(0.5 * k) ** 2
 
 
 def occupation_tilted(k, theta: float):
@@ -187,14 +191,7 @@ class QuenchState:
         return self.occupation.mean_density
 
 
-def _mean_density(evaluate, pairing: Pairing, config: QuadratureConfig) -> float:
-    if pairing is Pairing.SYMMETRIC_PARTICLE_HOLE:
-        return 0.5  # sharp: the state is a charge eigenstate at half filling
-    value, _ = momentum_integral(evaluate, config=config)
-    return value
-
-
-def _load_custom(path: str, config: QuadratureConfig) -> OccupationFunction:
+def _load_custom(path: str) -> OccupationFunction:
     data = np.loadtxt(path, delimiter=",", comments="#")
     if data.ndim != 2 or data.shape[1] != 2:
         raise ValueError(f"custom occupation file {path!r} must have two columns (k, n)")
@@ -206,9 +203,7 @@ def _load_custom(path: str, config: QuadratureConfig) -> OccupationFunction:
     def evaluate(k):
         return np.interp(np.asarray(k, dtype=float), ks, np.clip(ns, 0, 1))
 
-    pairing = _classify_pairing(evaluate)
-    density = _mean_density(evaluate, pairing, config)
-    return OccupationFunction(evaluate, pairing, f"custom:{path}", mean_density=density)
+    return OccupationFunction(evaluate, _classify_pairing(evaluate), f"custom:{path}")
 
 
 def _classify_pairing(evaluate, grid_points: int = 1001, tol: float = 1e-6):
@@ -225,7 +220,7 @@ def _classify_pairing(evaluate, grid_points: int = 1001, tol: float = 1e-6):
     )
 
 
-def get_state(name: str, config: QuadratureConfig = DEFAULT_CONFIG) -> QuenchState:
+def get_state(name: str) -> QuenchState:
     """Resolve a state name: neel | dimer | dimer+ | tilted:<theta> | custom:<file>."""
     if name == "neel":
         occ = neel_state()
@@ -236,7 +231,7 @@ def get_state(name: str, config: QuadratureConfig = DEFAULT_CONFIG) -> QuenchSta
     elif name.startswith("tilted:"):
         occ = tilted_state(float(name.split(":", 1)[1]))
     elif name.startswith("custom:"):
-        occ = _load_custom(name.split(":", 1)[1], config)
+        occ = _load_custom(name.split(":", 1)[1])
     else:
         raise KeyError(f"unknown state {name!r}")
     return QuenchState(occ)

@@ -1,6 +1,9 @@
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -54,14 +57,31 @@ def test_every_subcommand_is_covered():
 
 
 def test_config_hash_depends_only_on_result_inputs():
-    job = JobSpec("curve", {"ell": 40.0, "q": "20"}, rtol=1e-10, seed=3)
-    same = JobSpec("curve", {"ell": 40.0, "q": "20"}, rtol=1e-10, seed=3, out_dir="elsewhere", fmt="csv")
+    job = JobSpec("curve", {"ell": 40.0, "q": "20"}, seed=3)
+    same = JobSpec("curve", {"ell": 40.0, "q": "20"}, seed=3, out_dir="elsewhere", fmt="csv")
     assert job.config_hash() == same.config_hash()
-    for other in (JobSpec("curve", {"ell": 41.0, "q": "20"}, rtol=1e-10, seed=3),
-                  JobSpec("curve", {"ell": 40.0, "q": "20"}, rtol=1e-8, seed=3),
-                  JobSpec("curve", {"ell": 40.0, "q": "20"}, rtol=1e-10, seed=4),
-                  JobSpec("sweep", {"ell": 40.0, "q": "20"}, rtol=1e-10, seed=3)):
+    for other in (JobSpec("curve", {"ell": 41.0, "q": "20"}, seed=3),
+                  JobSpec("curve", {"ell": 40.0, "q": "20"}, seed=4),
+                  JobSpec("sweep", {"ell": 40.0, "q": "20"}, seed=3)):
         assert other.config_hash() != job.config_hash()
+
+
+def test_the_quadrature_tolerance_is_a_constant(capsys):
+    # only the two quadrature entry points take a tolerance; nothing above
+    # them takes, stores or relays one, and the CLI has no flag for it
+    takers = set()
+    for info in pkgutil.iter_modules(chargequench.__path__):
+        module = importlib.import_module(f"chargequench.{info.name}")
+        for _, obj in inspect.getmembers(module):
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            funcs = [obj] if inspect.isfunction(obj) else (
+                [f for _, f in inspect.getmembers(obj, inspect.isfunction)] if inspect.isclass(obj) else [])
+            takers.update(f"{module.__name__}.{f.__qualname__}" for f in funcs
+                          if {"config", "rtol"} & set(inspect.signature(f).parameters))
+    assert takers == {"chargequench.quadrature.integrate", "chargequench.quadrature.momentum_integral"}
+    assert main([*RUNS["curve"], "--rtol", "1e-8"]) == cli.EXIT_USAGE
+    assert "--rtol" in capsys.readouterr().err
 
 
 def test_saddle_flags_outcomes_beyond_the_window(tmp_path, capsys):
@@ -76,9 +96,13 @@ def test_saddle_flags_outcomes_beyond_the_window(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     # lambda about 19.6, 1.7e-7 inside the window 3.81971863
     ["saddle", "--state", "dimer", "--ell", "40", "--tau", "6", "--dq", "3.8197182"],
+    # lambda about 24, within about 1e-9 of the window: the dimer occupation
+    # must keep its relative precision near k = 0
+    ["saddle", "--state", "dimer", "--ell", "40", "--tau", "6", "--dq", "3.81971863"],
+    ["curve", "--state", "dimer", "--ell", "40", "--tau", "6", "--t", "14", "--q", "23.8197186"],
     *(["fcs", "--state", state, "--ell", "40", "--tau", "6",
        f"--beta-grid={-math.pi!r}:{math.pi!r}:21"] for state in ("dimer", "neel")),
-], ids=["saddle-edge", "fcs-full-dimer", "fcs-full-neel"])
+], ids=["saddle-edge", "saddle-window", "curve-window", "fcs-full-dimer", "fcs-full-neel"])
 def test_jobs_at_the_edge_of_their_domain(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path), "--format", "json"]) == 0, capsys.readouterr().err
     (path,) = tmp_path.iterdir()

@@ -28,7 +28,7 @@ from chargequench.entropy import LOGN_UNKNOWN, _quantum_integral
 from chargequench.errors import FeasibilityError, RegimeError
 from chargequench.extensions import MEASURE_COMPLEMENT, MEASURE_DISJOINT
 from chargequench.fluctuations import variance_symmetric
-from chargequench.quadrature import DEFAULT_CONFIG, momentum_integral
+from chargequench.quadrature import momentum_integral
 from chargequench.saddle import modified_occupation, solve_saddle_squeezed
 from chargequench.states import pair_entropy
 
@@ -181,7 +181,7 @@ def test_squeezed_double(tilted_max):
     rep = entropy_squeezed_double(120.0, tau, ell, q1, q2, tilted_max.occupation)
     sol = solve_saddle_squeezed([q1, q2], tau, ell, tilted_max.occupation)
     l1, l2 = sol.lambdas
-    protocol = MeasurementProtocol(ell=ell, tau=tau, m=2, t=120.0, outcomes=(q1, q2))
+    protocol = MeasurementProtocol(ell=ell, tau=tau, m=2, t=120.0)
     tilts = {"chi[22]_AAbar": ((2, 2), 2 * l1 + 2 * l2), "chi[21]_AAbar": ((2, 1), 2 * l1 + l2),
              "chi[11]_AAbar": ((1, 1), l1 + l2), "chi[01]_AAbar": ((0, 1), l2)}
     for label, value in rep.quantum_corrections:
@@ -323,13 +323,13 @@ def test_quantum_integral_takes_an_array_of_tilts(dimer):
     chi = counting_function([ConfigurationClass((1,), FINAL_SHARED, RIGHT_MOVER)], protocol)
     occ = dimer.occupation
     tilts = np.array([-1.3, 0.0, 0.2, 2.5])
-    values, errors = _quantum_integral(chi, tilts, occ, DEFAULT_CONFIG)
+    values, errors = _quantum_integral(chi, tilts, occ)
     assert (values[1], errors[1]) == (0.0, 0.0)
-    assert _quantum_integral(chi, 0.0, occ, DEFAULT_CONFIG) == (0.0, 0.0)
-    (one,), (one_err,) = _quantum_integral(chi, tilts[2:3], occ, DEFAULT_CONFIG)
-    assert (one, one_err) == _quantum_integral(chi, 0.2, occ, DEFAULT_CONFIG)
+    assert _quantum_integral(chi, 0.0, occ) == (0.0, 0.0)
+    (one,), (one_err,) = _quantum_integral(chi, tilts[2:3], occ)
+    assert (one, one_err) == _quantum_integral(chi, 0.2, occ)
     for tilt, value in zip(tilts, values):
-        alone, _ = _quantum_integral(chi, float(tilt), occ, DEFAULT_CONFIG)
+        alone, _ = _quantum_integral(chi, float(tilt), occ)
         assert isinstance(alone, float)
         assert value == pytest.approx(alone, rel=1e-10, abs=1e-14)
 

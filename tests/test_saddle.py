@@ -6,7 +6,6 @@ import pytest
 from chargequench import (
     MeasurementProtocol,
     Pairing,
-    QuadratureConfig,
     feasibility,
     get_state,
     modified_occupation,
@@ -233,7 +232,7 @@ def test_dimer_saddle_residual_at_the_window_edge(dimer):
     weight = light_cone_weight(tau, ell)
     value, _ = momentum_integral(
         lambda k: weight(k) * (modified_occupation(dimer.occupation.evaluate(k), lam) - 0.5),
-        kinks=weight.kinks, config=QuadratureConfig(rtol=1e-14),
+        kinks=weight.kinks, rtol=1e-14,
     )
     assert abs(value - dq) <= 1e-11 * window
 

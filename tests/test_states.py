@@ -29,6 +29,8 @@ def test_occupation_dimer_values():
     assert occupation_dimer(0.0) == pytest.approx(0.0, abs=1e-15)
     assert occupation_dimer(math.pi) == pytest.approx(1.0, abs=1e-15)
     assert occupation_dimer(math.pi / 2) == pytest.approx(0.5, abs=1e-15)
+    # full relative precision near the zero, where (1 - cos k)/2 cancels
+    assert occupation_dimer(1e-6) == pytest.approx(2.5e-13, rel=1e-12, abs=0)
     # the sign flag swaps the convention; entropies are blind to it
     assert occupation_dimer(0.0, plus_cos=True) == pytest.approx(1.0)
     assert np.allclose(
