@@ -29,7 +29,7 @@ from .errors import (
     RegimeError,
 )
 from .extensions import GeometrySpec, fcs_generating_function, geometry_entropy
-from .neel_exact import neel_entropy_exact, stirling_expansion
+from .neel_exact import neel_corrections, stirling_expansion
 from .probability import (
     chain_distribution,
     monte_carlo_average,
@@ -247,9 +247,9 @@ def _cmd_neel(job: JobSpec):
     t = p.get("t", p["tau"] * p.get("m", 1))
     state = get_state("neel")
     dqs = parse_grid(str(p["dq"]))
-    exacts = [neel_entropy_exact(t, tau, [dq], ell) for dq in dqs]
+    exacts = [sum(neel_corrections(t, tau, [dq], ell)[0]) for dq in dqs]
     saddle_reports = entropy_symmetric_single(t, tau, ell, ell / 2 + np.array(dqs), state.occupation)
-    rows = [(dq, sum(exact.corrections), report.total - report.baseline, sum(stirling_expansion(dq, tau)))
+    rows = [(dq, exact, report.total - report.baseline, sum(stirling_expansion(dq, tau)))
             for dq, exact, report in zip(dqs, exacts, saddle_reports)]
     header = ["dq", "exact", "saddle", "stirling"]
     return _write_artifact(job, "neel", header, rows, {"tau": tau, "t": t, "ell": ell})

@@ -64,7 +64,8 @@ def _log_measurement_factor(dq: float, tau: float) -> float:
 
 
 def neel_entropy_exact(t, tau, dq_seq, ell) -> NeelExactResult:
-    """Exact measured entropy of the half-filled state.
+    """Exact measured entropy of the half-filled state: the unmeasured
+    baseline plus the `neel_corrections`.
 
     Valid inside the light cone (t <= ell/2, with every measurement before
     t) where the correction is a product of per-measurement Beta factors; in
@@ -74,21 +75,28 @@ def neel_entropy_exact(t, tau, dq_seq, ell) -> NeelExactResult:
     for every Renyi index, since s_alpha(1/2) = log 2; non-integer 4 tau/pi
     is accepted (the Beta form is analytic in tau) and tagged "continuum-tau".
     """
+    corrections, regime = neel_corrections(t, tau, dq_seq, ell)
+    baseline = unmeasured_entropy(1.0, t, ell, neel_state())
+    return NeelExactResult(baseline + sum(corrections), baseline, corrections, "BetaClosedForm", regime)
+
+
+def neel_corrections(t, tau, dq_seq, ell):
+    """``(corrections, regime)`` of `neel_entropy_exact`, without its baseline
+    integral: minus the log Beta factor of each measurement inside the light
+    cone, 0.0 each in the long-time limit; RegimeError in between."""
     dq_seq = tuple(float(dq) for dq in dq_seq)
     m = len(dq_seq)
     if t < m * tau:
         raise RegimeError("final time precedes the last measurement")
-    baseline = unmeasured_entropy(1.0, t, ell, neel_state())
     regime = "continuum-tau" if (4 * tau / math.pi) % 1.0 > 1e-12 else "integer-tau"
     if t >= _LONG_TIME_RATIO * ell:
-        return NeelExactResult(baseline, baseline, (0.0,) * m, "BetaClosedForm", regime + ";long-time-limit")
+        return (0.0,) * m, regime + ";long-time-limit"
     if t > ell / 2.0 + 1e-12:
         raise RegimeError(
             "closed form valid for t <= ell/2 (light cone) or t >= "
             f"{_LONG_TIME_RATIO:g} * ell (washed out); got t/ell = {t / ell:g}"
         )
-    corrections = tuple(-_log_measurement_factor(dq, tau) for dq in dq_seq)
-    return NeelExactResult(baseline + sum(corrections), baseline, corrections, "BetaClosedForm", regime)
+    return tuple(-_log_measurement_factor(dq, tau) for dq in dq_seq), regime
 
 
 def stirling_expansion(dq: float, tau: float):

@@ -13,10 +13,13 @@ The total number of panels is bounded.  Every integral of the library is
 held to the one relative tolerance `RTOL`.
 
 An integrand may also return an (M, N) array for N nodes: a batch of M
-integrals (say, an FCS grid of counting fields, or the quantum corrections
-of many outcomes) on shared panels, in one adaptive loop with one call of the
-integrand per pass.  Each component keeps its own error budget; a pass
-halves the union of the panels its failing components would halve alone.
+integrals (say, an FCS grid of counting fields, the quantum corrections of
+many outcomes, or a saddle residual and its slope) on shared panels, in one
+adaptive loop with one call of the integrand per pass.  Each component keeps
+its own error budget and retires once it meets it: its value and error are
+frozen, and later passes carry, and split panels for, only the components
+still open.  The integrand still takes the nodes alone and returns all M
+rows on every call; the rows of retired components are dropped.
 """
 
 from __future__ import annotations
@@ -42,10 +45,11 @@ def _gauss_legendre():
     return x, w[:, None]
 
 
-def _rules(f, lo, hi):
+def _rules(f, lo, hi, rows=None):
     """One call of ``f`` on the nodes of every panel [lo_i, hi_i]: the rules as
     an (M, P) array, each component's largest term size, and whether ``f``
-    returned a batch of M components."""
+    returned a batch of M components.  ``rows`` keeps only those components
+    of a batch."""
     x, w = _gauss_legendre()
     half = 0.5 * (hi - lo)
     nodes = half[:, None] * x
@@ -53,11 +57,14 @@ def _rules(f, lo, hi):
     out = f(nodes.ravel())
     values, sizes = out if isinstance(out, tuple) else (out, out)
     values = np.asarray(values, dtype=float)
+    batched = values.ndim == 2
+    if rows is not None:
+        values, sizes = values[rows], np.asarray(sizes)[rows]
     # a (1 x NODES) @ (NODES x 1) product per panel is one dot, bit for bit
     # the per-panel float(np.dot(w, row)) (values @ w would round differently)
     rules = half * (values.reshape(-1, len(half), 1, NODES) @ w).reshape(-1, len(half))
     peaks = np.maximum.reduce(np.abs(sizes).reshape(len(rules), -1), 1).tolist()
-    return rules, peaks, values.ndim == 2
+    return rules, peaks, batched
 
 
 def integrate(f, a, b, kinks=(), rtol=RTOL):
@@ -65,7 +72,8 @@ def integrate(f, a, b, kinks=(), rtol=RTOL):
 
     ``f`` maps N nodes to values of shape (N,), or (M, N) for a batch that
     shares the panels; it may instead return a ``(values, sizes)`` pair of
-    the same shape.  Returns ``(value, error_estimate)``: floats for (N,)
+    the same shape.  ``f`` takes the nodes only: every call evaluates all M
+    components.  Returns ``(value, error_estimate)``: floats for (N,)
     values, arrays of shape (M,) for a batch.  ``kinks`` are interior points
     where the integrands are continuous but not smooth; they become panel
     edges.
@@ -76,11 +84,14 @@ def integrate(f, a, b, kinks=(), rtol=RTOL):
     value is a cancelling sum of larger terms returns ``(values, sizes)``
     with ``sizes`` the magnitude of those terms, so that the floor matches
     the rounding noise of the sum rather than the (much smaller) size of the
-    sum itself.  Otherwise each failing component's fewest worst panels
-    whose errors cover its excess over half its budget are halved, all of
-    them in one call of ``f``; a panel's half rules become its children's
-    coarse rules.  A batch of one is the scalar integral bit for bit, and
-    exact zeros stay exact.
+    sum itself.  An accepted component retires: its value, the sequential
+    sum of its panels in order of k, and its error are frozen, and later
+    passes drop its part of the integrand's output.  Otherwise each failing
+    component's fewest worst panels whose errors cover its excess over half
+    its budget are halved, all of them in one call of ``f``; a panel's half
+    rules become its children's coarse rules.  A component that settles on
+    the panels it started from is its scalar integral bit for bit (a batch
+    of one always is), and exact zeros stay exact.
     """
     if b <= a:
         return 0.0, 0.0
@@ -88,9 +99,13 @@ def integrate(f, a, b, kinks=(), rtol=RTOL):
     lo, mid, hi = points[:-1], 0.5 * (points[:-1] + points[1:]), points[1:]
     rules, peak, batched = _rules(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
     m, n = len(rules), len(lo)
-    # one column per panel; rows: lo, hi, the coarse rule of every component,
-    # then each component's left-half and right-half rules
+    # one column per panel; rows: lo, hi, the coarse rule of every open
+    # component, then each open component's left-half and right-half rules
     panels = np.concatenate([lo[None], hi[None], rules[:, :n], rules[:, n:].reshape(2 * m, n)])
+    # the original index of each open component; the frozen (value, error)
+    # of each retired one, by index
+    index, retired = list(range(m)), {}
+    split = None  # the panels are in order of k until the first split
     while True:
         lo, hi = panels[0], panels[1]
         coarse, left, right = panels[2:2 + m], panels[2 + m::2], panels[3 + m::2]
@@ -102,13 +117,23 @@ def integrate(f, a, b, kinks=(), rtol=RTOL):
             c = next(c for c, e in enumerate(err) if not math.isfinite(e))
             i = np.argmax(~np.isfinite(errs[c]))
             raise QuadratureError(
-                f"panel [{lo[i]}, {hi[i]}] gives a non-finite value{_component(c, batched)}",
+                f"panel [{lo[i]}, {hi[i]}] gives a non-finite value{_component(index[c], batched)}",
                 achieved=err[c])
         sizes = np.add.reduce(np.abs(fine), 1).tolist()
         budget = [max(rtol * size, _NOISE * p * (b - a)) for size, p in zip(sizes, peak)]
         fail = [c for c in range(m) if not err[c] <= budget[c]]
         if not fail:
             break
+        if len(fail) < m:
+            # retire the accepted components
+            done = [c for c in range(m) if err[c] <= budget[c]]
+            for c, total in zip(done, _sums(fine[done], lo, split is not None)):
+                retired[index[c]] = total, err[c]
+            halves = [r for c in fail for r in (2 + m + 2 * c, 3 + m + 2 * c)]
+            panels = panels[[0, 1, *(2 + c for c in fail), *halves]]
+            errs, index = errs[fail], [index[c] for c in fail]
+            err, budget, peak = ([v[c] for c in fail] for v in (err, budget, peak))
+            m, fail = len(fail), range(len(fail))
         # each failing component's fewest worst panels whose errors cover its
         # excess over half its budget, worst first, component by component;
         # each panel once
@@ -123,7 +148,7 @@ def integrate(f, a, b, kinks=(), rtol=RTOL):
             c = fail[0]
             i = np.argmax(errs[c])
             raise QuadratureError(
-                f"panel [{lo[i]}, {hi[i]}] did not converge{_component(c, batched)} (residual "
+                f"panel [{lo[i]}, {hi[i]}] did not converge{_component(index[c], batched)} (residual "
                 f"{errs[c, i]:.3e}; error {err[c]:.3e} over budget {budget[c]:.3e} at "
                 f"{panels.shape[1]} panels)", achieved=err[c])
         s_lo, s_hi = lo[split], hi[split]
@@ -131,21 +156,34 @@ def integrate(f, a, b, kinks=(), rtol=RTOL):
         # the children's ends and midpoints, left children first
         c_lo, c_hi = np.concatenate([s_lo, s_mid]), np.concatenate([s_mid, s_hi])
         c_mid = 0.5 * (c_lo + c_hi)
-        quarters, quarter_peak, _ = _rules(f, np.concatenate([c_lo, c_mid]), np.concatenate([c_mid, c_hi]))
+        quarters, quarter_peak, _ = _rules(f, np.concatenate([c_lo, c_mid]), np.concatenate([c_mid, c_hi]),
+                                           index if retired else None)
         peak = list(map(max, peak, quarter_peak))
         # the kept panels in their order, then the left children, then the
         # right; a child's coarse rule is its parent's half rule
         children = np.concatenate([
             c_lo[None], c_hi[None], panels[2 + m:, split].reshape(m, -1), quarters.reshape(2 * m, -1)])
         panels = np.concatenate([panels[:, ~halve], children], axis=1)
-    # each component's sequential sum over the panels in order of k
+    totals = _sums(fine, lo, split is not None)
+    if not batched:
+        return totals[0], err[0]
+    retired.update(zip(index, zip(totals, err)))
+    values, errors = zip(*(retired[c] for c in range(len(retired))))
+    return np.array(values), np.array(errors)
+
+
+def _sums(fine, lo, shuffled):
+    """Each row's sequential sum over the panels in order of k; ``shuffled``
+    if the panels, starting at ``lo``, are not in that order."""
+    if shuffled:
+        fine = fine.take(lo.argsort(), axis=1)
     totals = []
-    for row in fine.take(lo.argsort(), axis=1).tolist():
+    for row in fine.tolist():
         total = 0.0
         for value in row:
             total += value
         totals.append(total)
-    return (np.array(totals), np.array(err)) if batched else (totals[0], err[0])
+    return totals
 
 
 def _component(c, batched):

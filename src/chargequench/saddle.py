@@ -130,9 +130,10 @@ def solve_saddle_symmetric_single(
     r(0) = -dq puts the root on dq's side of 0; every residual narrows that
     bracket, and a step that leaves it or |lam| <= 300, or a slope <= 0, is
     replaced by the midpoint, or by doubling lam while the far side is open.
-    A root beyond |lam| = 300 raises `RegimeError`.  Its linearisation is
-    ``dq / sigma_tau^2``.  ``window`` is the `charge_window` of (tau, ell),
-    integrated here unless given.
+    A root beyond |lam| = 300 raises `RegimeError`.  Each Newton step is one
+    integral: the residual and the slope are one batch of two components.
+    Its linearisation is ``dq / sigma_tau^2``.  ``window`` is the
+    `charge_window` of (tau, ell), integrated here unless given.
     """
     if occ.pairing is not Pairing.SYMMETRIC_PARTICLE_HOLE:
         raise ValueError("use solve_saddle_squeezed for squeezed-pair states")
@@ -146,35 +147,33 @@ def solve_saddle_symmetric_single(
         return SaddleSolution((0.0,), "exact", regime)
     weight = light_cone_weight(tau, ell)
 
-    def integral(integrand):
-        return momentum_integral(integrand, kinks=weight.kinks)[0]
-
-    def residual(lam):
-        return integral(lambda k: weight(k) * (modified_occupation(occ.evaluate(k), lam) - 0.5)) - dq
-
-    def slope(lam):
-        # n_lam (1 - n_lam) = n (1-n) e^{-|lam|} / (a + b e^{-|lam|})^2 with
-        # (a, b) = (n, 1-n) for lam >= 0 (swapped below): no 1 - n_lam cancels
+    def residual_and_slope(lam):
+        # one batch: the residual, and the slope d r / d lam =
+        # (1/2pi) int dk w n_lam (1 - n_lam), where n_lam (1 - n_lam) =
+        # n (1-n) e^{-|lam|} / (a + b e^{-|lam|})^2 with (a, b) = (n, 1-n) for
+        # lam >= 0 (swapped below): no 1 - n_lam cancels
         decay = math.exp(-abs(lam))
 
         def integrand(k):
             n = np.asarray(occ.evaluate(k), dtype=float)
+            w = weight(k)
             a, b = (n, 1.0 - n) if lam >= 0 else (1.0 - n, n)
-            return weight(k) * n * (1.0 - n) * decay / (a + b * decay) ** 2
+            return np.stack([w * (modified_occupation(n, lam) - 0.5),
+                             w * n * (1.0 - n) * decay / (a + b * decay) ** 2])
 
-        return integral(integrand)
+        (r, d), _ = momentum_integral(integrand, kinks=weight.kinks)
+        return float(r) - dq, float(d)
 
     lo, hi = (0.0, math.inf) if dq > 0 else (-math.inf, 0.0)
     lam = 2.0 * math.atanh(dq / window)  # finite: |dq| < window rounds to |dq / window| < 1
     for _ in range(_NEWTON_STEPS):
-        r = residual(lam)
+        r, d = residual_and_slope(lam)
         if r < 0:
             lo = lam
         elif r > 0:
             hi = lam
         if max(lo, -hi) >= _LAMBDA_MAX:
             break  # the root lies beyond the largest |lam| sought
-        d = slope(lam)
         step = -r / d if d > 0 else math.nan
         if abs(step) <= 1e-13 * max(1.0, abs(lam)):
             return SaddleSolution((lam + step,), "exact", regime)

@@ -12,6 +12,7 @@ import pytest
 import chargequench
 from chargequench import cli, counting, entropy, fluctuations, saddle
 from chargequench.cli import _COMMANDS, JobSpec, main
+from chargequench.neel_exact import neel_entropy_exact
 
 # Every subcommand with only the arguments it needs; the defaults do the rest.
 RUNS = {
@@ -171,6 +172,19 @@ def test_saddle_integrates_the_window_once_per_job(tmp_path, count_calls, capsys
     assert counts == {"charge_window": 1, "variance_symmetric": 1}
     rows = json.loads((tmp_path / "saddle.json").read_text())["rows"]
     assert [row[3] for row in rows] == [1] * 7 and rows[3][1] == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:Stirling expansion is inaccurate:UserWarning")  # tau 6
+def test_neel_integrates_its_baseline_once_per_job(tmp_path, count_calls, capsys):
+    # the exact column is the Beta factors alone; the one baseline integral
+    # is the saddle reports'
+    counts = count_calls(entropy.unmeasured_entropy)
+    argv = ["neel", "--tau", "6", "--dq=-2:2"]
+    assert main([*argv, "--out", str(tmp_path), "--format", "json"]) == 0, capsys.readouterr().err
+    assert counts == {"unmeasured_entropy": 1}
+    rows = json.loads((tmp_path / "neel.json").read_text())["rows"]
+    assert [row[1] for row in rows] == [sum(neel_entropy_exact(6.0, 6.0, [dq], 600.0).corrections)
+                                        for dq in (-2.0, -1.0, 0.0, 1.0, 2.0)]
 
 
 @pytest.mark.parametrize("m, quantum", [(1, 2), (2, 4)])

@@ -195,7 +195,9 @@ def test_fcs_sweep_finds_the_half_filling_momenta_once():
 @pytest.mark.parametrize("name", ["neel", "dimer", "tilted:1.1", f"tilted:{math.pi / 2!r}"])
 def test_fcs_grid_equals_one_call_per_beta(name):
     # a whole beta grid over [-pi, pi], the ends and beta = 0 included, is one
-    # batch on shared panels; each beta still meets the tolerance of its own call
+    # batch on shared panels; each beta still meets the tolerance of its own
+    # call.  A symmetric state's betas settle before the log singularities of
+    # |beta| = pi are resolved and retire: each is its own call bit for bit
     occ = get_state(name).occupation
     tau = 6.0 if occ.pairing.value.startswith("symmetric") else 3.0
     betas = np.linspace(-math.pi, math.pi, 21)
@@ -205,6 +207,7 @@ def test_fcs_grid_equals_one_call_per_beta(name):
         alone = fcs_generating_function(beta, tau, 40.0, occ)
         assert isinstance(alone, complex)
         assert abs(value - alone) <= 1e-10 * abs(alone)
+        assert value == alone or name not in ("neel", "dimer"), beta
 
 
 def test_fcs_wide_tilted_grid_takes_few_integrand_calls():

@@ -121,6 +121,18 @@ def test_components_that_split_the_same_panels_split_each_once():
     assert values[1] == pytest.approx(2.0 * value, rel=1e-14)
 
 
+def test_a_component_that_settles_first_is_its_scalar_integral():
+    # the exponential settles on the first panels and retires; the log keeps
+    # splitting without it (summed over the log's panels, e^{2x} would round
+    # differently)
+    def exp2(x):
+        return np.exp(2.0 * x)
+
+    values, _ = integrate(lambda x: np.array([exp2(x), np.log(np.abs(x - 0.3))]), -1.0, 1.0)
+    assert values[0] == integrate(exp2, -1.0, 1.0)[0]
+    assert values[1] == pytest.approx(1.3 * math.log(1.3) + 0.7 * math.log(0.7) - 2.0, rel=1e-10)
+
+
 def test_a_zero_component_stays_exactly_zero():
     values, errs = integrate(lambda x: np.array([np.zeros_like(x), np.log(np.abs(x - 0.3))]), -1.0, 1.0)
     assert (values[0], errs[0]) == (0.0, 0.0)
@@ -142,3 +154,23 @@ def test_a_noisy_batch_is_refused_within_the_work_bound():
     with pytest.raises(QuadratureError, match="in component 1"):
         integrate(noisy, -math.pi, math.pi)
     assert sum(calls) <= 4 * MAX_PANELS * NODES
+
+
+def _after_two_retire(third):
+    # components 0 and 1 settle on the first panels and retire; the third
+    # fails later, once it is the only open component
+    return lambda x: np.array([np.exp(x), x, third(x)])
+
+
+def test_a_nan_after_retirement_names_the_original_component():
+    def log_nan(x):
+        # NaN within 1e-3 of 0.3: no first-pass node is that close
+        return np.where(np.abs(x - 0.3) < 1e-3, np.nan, np.log(np.abs(x - 0.3)))
+
+    with pytest.raises(QuadratureError, match="non-finite value in component 2"):
+        integrate(_after_two_retire(log_nan), -1.0, 1.0)
+
+
+def test_a_refusal_after_retirement_names_the_original_component():
+    with pytest.raises(QuadratureError, match="did not converge in component 2"):
+        integrate(_after_two_retire(lambda x: 1e-16 * np.sin(1e9 * x + 1.0)), -math.pi, math.pi)
