@@ -54,6 +54,13 @@ _FMT = "%.17g"
 # ---------------------------------------------------------------------------
 
 
+class _Params(dict):
+    """Job parameters: reading one that is absent is a usage error naming its flag."""
+
+    def __missing__(self, key):
+        _build_parser().error(f"the following arguments are required: --{key.replace('_', '-')}")
+
+
 @dataclasses.dataclass
 class JobSpec:
     subcommand: str
@@ -132,6 +139,18 @@ def _reports(state, t_grid, tau, ell, q_rows):
         yield t, ProtocolTerms(protocol, state.occupation, period).reports(q_rows)
 
 
+def _t_grid(p):
+    """The final times: those of --t-grid, else the one --t."""
+    return parse_grid(p["t_grid"]) if "t_grid" in p else [p["t"]]
+
+
+def _exact_distribution(p, tau, ell, m):
+    """The exact Neel outcome law under --exact-distribution (Neel only), else None."""
+    if p.get("exact_distribution") and p["state"] != "neel":
+        _build_parser().error(f"--exact-distribution needs --state neel, not --state {p['state']}")
+    return neel_exact_distribution(tau, ell, m) if p.get("exact_distribution") else None
+
+
 def _report_columns(report):
     """(baseline, quantum, classical or NaN, total, classical tag)."""
     tag, classical = report.classical_correction
@@ -144,7 +163,7 @@ def _cmd_curve(job: JobSpec):
     state = get_state(p["state"])
     ell, tau = p["ell"], p["tau"]
     q_seq = [float(v) for v in str(p["q"]).split(",")]
-    t_grid = parse_grid(p["t_grid"]) if "t_grid" in p else [p["t"]]
+    t_grid = _t_grid(p)
 
     rows = [(t, tau, *q_seq, *_report_columns(report))
             for t, reports in _reports(state, t_grid, tau, ell, [q_seq]) for report in reports]
@@ -158,7 +177,7 @@ def _cmd_sweep(job: JobSpec):
     p = job.params
     state = get_state(p["state"])
     ell, tau = p["ell"], p["tau"]
-    t_grid = parse_grid(p["t_grid"]) if "t_grid" in p else [p["t"]]
+    t_grid = _t_grid(p)
     q_grid = parse_grid(str(p["q_grid"]))
     rows = [(t, tau, q, *_report_columns(report))
             for t, reports in _reports(state, t_grid, tau, ell, [(q,) for q in q_grid])
@@ -208,12 +227,9 @@ def _cmd_average(job: JobSpec):
             raise
         result = {"analytic_correction": None}  # no analytic average (squeezed states): Monte Carlo only
     if p.get("samples"):
-        dist = None
-        if p["state"] == "neel" and p.get("exact_distribution"):
-            dist = neel_exact_distribution(tau, ell, m)
         mean, stderr = monte_carlo_average(
             protocol, state.occupation, int(p["samples"]), job.seed or 0,
-            distribution=dist, terms=terms,
+            distribution=_exact_distribution(p, tau, ell, m), terms=terms,
         )
         result.update(
             {"mc_mean": mean, "mc_stderr": stderr, "mc_correction": mean - terms.baseline,
@@ -230,10 +246,7 @@ def _cmd_sample(job: JobSpec):
     p = job.params
     state = get_state(p["state"])
     ell, tau, m = p["ell"], p["tau"], p.get("m", 1)
-    if p["state"] == "neel" and p.get("exact_distribution"):
-        dist = neel_exact_distribution(tau, ell, m)
-    else:
-        dist = chain_distribution(tau, m, ell, state.occupation)
+    dist = _exact_distribution(p, tau, ell, m) or chain_distribution(tau, m, ell, state.occupation)
     seqs, rejections = sample_many(job.seed or 0, dist, int(p["samples"]))
     header = [f"q{i + 1}" for i in range(m)]
     rows = [tuple(int(v) for v in row) for row in seqs]
@@ -276,7 +289,7 @@ def _cmd_geometry(job: JobSpec):
         ell_b=p.get("ell_b", 0.0),
         total_length=p.get("L", 0.0),
     )
-    t_grid = parse_grid(p["t_grid"]) if "t_grid" in p else [p["t"]]
+    t_grid = _t_grid(p)
     reports = geometry_entropy(geom, np.array(t_grid), ell, q, state.occupation)
     rows = [(t, q, report.baseline, sum(v for _, v in report.quantum_corrections), report.total)
             for t, report in zip(t_grid, reports)]
@@ -338,7 +351,6 @@ def _build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(sp):
-        sp.add_argument("--state", default="neel")
         sp.add_argument("--ell", type=float)
         sp.add_argument("--tau", type=float)
         sp.add_argument("--t", type=float)
@@ -352,6 +364,8 @@ def _build_parser():
     for name in _COMMANDS:
         sp = sub.add_parser(name)
         common(sp)
+        if name != "neel":  # the neel subcommand computes the Neel state only
+            sp.add_argument("--state", default="neel")
         if name in ("curve",):
             sp.add_argument("--q", required=True)
         if name in ("sweep",):
@@ -392,7 +406,7 @@ def build_job(argv) -> JobSpec:
     out_dir = os.environ.get("CHARGEQUENCH_OUTDIR", ".") if out is None else out
     fmt = args.pop("format")
     args.pop("config")
-    params = {k: v for k, v in args.items() if v is not None and v is not False}
+    params = _Params((k, v) for k, v in args.items() if v is not None and v is not False)
     return JobSpec(
         subcommand=subcommand, params=params, seed=seed,
         out_dir=out_dir, fmt=fmt,

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import velocity_kinks
+from .quadrature import momentum_integral, velocity_kinks
 
 RIGHT_MOVER = "right"
 LEFT_MOVER = "left"
@@ -234,6 +234,13 @@ class CountingFunction:
     def kinks(self) -> list[float]:
         return velocity_kinks(self.v[1:-1])
 
+    def integral(self, density, occ) -> float:
+        """(1/2pi) int dk chi(k) density(n(k)), n the occupation ``occ``, split
+        at chi's kinks: the one integral of a pair-count weight times a function
+        of the mode occupation (variances, Drude weight, entropies, b(alpha))."""
+        value, _ = momentum_integral(lambda k: self(k) * density(occ.evaluate(k)), kinks=self.kinks)
+        return value
+
 
 def counting_function(classes, protocol: MeasurementProtocol, measured_region=None,
                       weight: float = 1.0) -> CountingFunction:
@@ -265,6 +272,8 @@ def light_cone_weight(t: float, ell: float) -> CountingFunction:
     its only kink is at ell/2t (none when 2t <= ell).  Every variance, the
     charge window and the unmeasured entropy integrate it.
     """
+    if t < 0 or ell <= 0:
+        raise ValueError("need t >= 0 and ell > 0")
     if 2 * t <= ell:
         return CountingFunction(np.array([0.0, 1.0]), np.array([0.0, 2.0 * t]))
     return CountingFunction(np.array([0.0, ell / (2 * t), 1.0]), np.array([0.0, ell, ell]))

@@ -33,7 +33,7 @@ from .counting import (
     shared_suffix_classes,
 )
 from .errors import RegimeError
-from .fluctuations import asymmetry, number_entropy
+from .fluctuations import _nn, asymmetry, number_entropy
 from .quadrature import momentum_integral
 from .saddle import PeriodTerms, _linear_chain
 from .states import OccupationFunction, Pairing, pair_entropy
@@ -82,15 +82,7 @@ class EntropyReport:
 def unmeasured_entropy(alpha, t, ell, occ: OccupationFunction):
     """Renyi entropy of the unmeasured quench,
     ``(1/2pi) int dk min(2|v_k| t, ell) s_alpha[n(k)]``."""
-    if t < 0 or ell <= 0:
-        raise ValueError("need t >= 0 and ell > 0")
-    weight = light_cone_weight(t, ell)
-
-    def integrand(k):
-        return weight(k) * pair_entropy(occ.evaluate(k), alpha)
-
-    value, _ = momentum_integral(integrand, kinks=weight.kinks)
-    return value
+    return light_cone_weight(t, ell).integral(functools.partial(pair_entropy, alpha=alpha), occ)
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +99,6 @@ def _replica_width(n):
     return n * (1 - n) * (1 - 2 * n) * log_ratio
 
 
-def _chi_integral(chi, density, occ):
-    """(1/2pi) int dk chi(k) density(n(k)), split at chi's kinks."""
-    value, _ = momentum_integral(lambda k: chi(k) * density(occ.evaluate(k)), kinks=chi.kinks)
-    return value
-
-
 def _hessian_general_symmetric(terms):
     # Diagonal-plus-rank-one Hessian of the multiplier integral, evaluated at
     # zeroth order in the saddle, with b(alpha) = int chi (n(1-n))^alpha /
@@ -120,11 +106,11 @@ def _hessian_general_symmetric(terms):
     occ = terms.occ
     chi_shared = terms.chis[0][1]
     chi_out = counting_function([ConfigurationClass((1,), FINAL_BOTH_OUT, RIGHT_MOVER)], terms.protocol)
-    a1 = _chi_integral(chi_out, lambda n: n * (1 - n), occ)
-    b1 = _chi_integral(chi_shared, lambda n: n * (1 - n), occ)
+    a1 = chi_out.integral(_nn, occ)
+    b1 = chi_shared.integral(_nn, occ)
     if a1 <= 1e-14:
         return None
-    db = _chi_integral(chi_shared, _replica_width, occ)
+    db = chi_shared.integral(_replica_width, occ)
     return -0.5 * math.log(2 * math.pi) + 0.5 * (math.log(a1 / (a1 + b1)) + b1 / (a1 + b1) + db / (a1 + b1))
 
 
@@ -465,7 +451,7 @@ def averaged_correction(
             raise RegimeError("multi-measurement averages are implemented for t <= ell/2")
         variance_term = -0.5 * m
     # inside the light cone every step's pairs weigh like the first period's
-    config_term = -m * _chi_integral(terms.chis[0][1], _replica_width, occ) / (2 * sigma_tau)
+    config_term = -m * terms.chis[0][1].integral(_replica_width, occ) / (2 * sigma_tau)
     value = classical + variance_term + config_term
     breakdown = {
         "classical": classical,

@@ -151,15 +151,17 @@ def solve_saddle_symmetric_single(
         # one batch: the residual, and the slope d r / d lam =
         # (1/2pi) int dk w n_lam (1 - n_lam), where n_lam (1 - n_lam) =
         # n (1-n) e^{-|lam|} / (a + b e^{-|lam|})^2 with (a, b) = (n, 1-n) for
-        # lam >= 0 (swapped below): no 1 - n_lam cancels
+        # lam >= 0 (swapped below): no 1 - n_lam cancels, nor 1 - n near n = 1,
+        # taken as n(k -+ pi) (the particle-hole partner), not as 1.0 - n
         decay = math.exp(-abs(lam))
 
         def integrand(k):
             n = np.asarray(occ.evaluate(k), dtype=float)
+            hole = np.asarray(occ.evaluate(k - np.copysign(math.pi, k)), dtype=float)
             w = weight(k)
-            a, b = (n, 1.0 - n) if lam >= 0 else (1.0 - n, n)
+            a, b = (n, hole) if lam >= 0 else (hole, n)
             return np.stack([w * (modified_occupation(n, lam) - 0.5),
-                             w * n * (1.0 - n) * decay / (a + b * decay) ** 2])
+                             w * n * hole * decay / (a + b * decay) ** 2])
 
         (r, d), _ = momentum_integral(integrand, kinks=weight.kinks)
         return float(r) - dq, float(d)

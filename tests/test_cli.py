@@ -100,16 +100,46 @@ def test_saddle_flags_outcomes_beyond_the_window(tmp_path, capsys):
     # lambda about 24, within about 1e-9 of the window: the dimer occupation
     # must keep its relative precision near k = 0
     ["saddle", "--state", "dimer", "--ell", "40", "--tau", "6", "--dq", "3.81971863"],
+    # lambda about -22, 1e-8 inside the window: the slope must keep 1 - n's
+    # relative precision near k = +-pi, where the dimer's n is 1
+    ["saddle", "--state", "dimer", "--ell", "40", "--tau", "6", "--dq=-3.8197186"],
     ["curve", "--state", "dimer", "--ell", "40", "--tau", "6", "--t", "14", "--q", "23.8197186"],
     *(["fcs", "--state", state, "--ell", "40", "--tau", "6",
        f"--beta-grid={-math.pi!r}:{math.pi!r}:21"] for state in ("dimer", "neel")),
-], ids=["saddle-edge", "saddle-window", "curve-window", "fcs-full-dimer", "fcs-full-neel"])
+], ids=["saddle-edge", "saddle-window", "saddle-negative-edge", "curve-window", "fcs-full-dimer",
+        "fcs-full-neel"])
 def test_jobs_at_the_edge_of_their_domain(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path), "--format", "json"]) == 0, capsys.readouterr().err
     (path,) = tmp_path.iterdir()
     values = [v for row in json.loads(path.read_text())["rows"] for v in row
               if isinstance(v, float)]
     assert values and all(math.isfinite(v) for v in values)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["neel", "--state", "dimer", "--tau", "6", "--dq", "1"], "--state"),
+    (["average", "--state", "dimer", "--ell", "40", "--tau", "6", "--t", "14", "--samples", "200",
+      "--exact-distribution"], "--exact-distribution"),
+    (["sample", "--state", "dimer", "--ell", "40", "--tau", "6", "--samples", "100", "--exact-distribution"],
+     "--exact-distribution"),
+    (["curve", "--q", "21"], "--ell"),
+    (["curve", "--ell", "40", "--tau", "6", "--q", "21"], "--t"),
+    (["sweep", "--ell", "40", "--tau", "6", "--q-grid", "19:21"], "--t"),
+], ids=["neel-state", "average-exact", "sample-exact", "curve-ell", "curve-t", "sweep-t"])
+def test_inputs_it_cannot_honour_are_usage_errors(argv, flag, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path)]) == cli.EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_usage_is_checked_after_the_config_file_is_merged(tmp_path, capsys):
+    config = tmp_path / "average.cfg"
+    config.write_text("state = dimer\nexact-distribution\nt = 14\n")
+    argv = ["average", "--config", str(config), "--ell", "40", "--tau", "6", "--samples", "200"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    assert "--exact-distribution" in capsys.readouterr().err
+    config.write_text("t = 14\n")  # the file supplies a value a subcommand requires
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0, capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy():

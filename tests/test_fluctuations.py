@@ -8,12 +8,17 @@ from chargequench import (
     ASYMMETRY_REGIME_EXCEEDED,
     asymmetry,
     drude_weight,
+    get_state,
     number_entropy,
+    quadrature,
     variance_squeezed,
     variance_symmetric,
 )
+from chargequench.counting import light_cone_weight
+from chargequench.entropy import unmeasured_entropy
 from chargequench.fluctuations import variance_saturated
-from chargequench.states import OccupationFunction, Pairing
+from chargequench.quadrature import momentum_integral
+from chargequench.states import OccupationFunction, Pairing, pair_entropy
 
 
 def _flat(value, pairing=Pairing.SQUEEZED_PAIR):
@@ -115,3 +120,34 @@ def test_asymmetry(tilted_max):
     assert asymmetry(1.0, ell, _flat(1.0)) == ASYMMETRY_REGIME_EXCEEDED
     with pytest.raises(ValueError):
         asymmetry(1.0, ell, OccupationFunction(lambda k: np.full_like(np.asarray(k, float), 0.5), Pairing.SYMMETRIC_PARTICLE_HOLE, "x"))
+
+
+@pytest.mark.parametrize("name", ["neel", "dimer"])
+def test_weighted_occupation_integrals_are_the_hand_written_ones_bit_for_bit(name):
+    # whether a crossover classical term is NaN in bench/refs is decided by
+    # the last bits of sigma_T^2: `CountingFunction.integral` must keep the
+    # product w(k) * (n (1.0 - n)) of the closures it replaced
+    occ = get_state(name).occupation
+    for time in (0.0, 3.0, 6.0, 20.0, 30.0):
+        w = light_cone_weight(time, 40.0)
+        n = occ.evaluate
+        variance, _ = momentum_integral(lambda k: w(k) * (n(k) * (1.0 - n(k))), kinks=w.kinks)
+        entropy, _ = momentum_integral(lambda k: w(k) * pair_entropy(n(k), 1.0), kinks=w.kinks)
+        assert variance_symmetric(time, 40.0, occ) == variance
+        assert unmeasured_entropy(1.0, time, 40.0, occ) == entropy
+
+
+def test_flat_and_velocity_weights_settle_in_one_integrand_call(monkeypatch):
+    # their weights kink at k = 0, where |sin k| does: it is a panel edge
+    calls = []
+    integrate = quadrature.integrate
+
+    def counted(f, *args, **kwargs):
+        return integrate(lambda k: calls.append(k) or f(k), *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate", counted)
+    occ = get_state("tilted:1.1").occupation
+    for integral in (drude_weight, lambda occ: variance_saturated(40.0, occ)):
+        calls.clear()
+        assert math.isfinite(integral(occ)) and len(calls) == 1
+    assert variance_saturated(40.0, get_state("dimer").occupation) == 5.0
